@@ -15,6 +15,13 @@
 //! opportune load ratio, and predicts `T_fuse = f(ratio) × X_tc`
 //! (Equations 2–6). Following §VI-C, it retrains from accumulated online
 //! observations whenever a prediction misses by more than 10%.
+//!
+//! A retrain refits on the whole sample history and costs O(n) in its
+//! length. Prefix sums of (count, Σx, Σy, Σx², Σxy, Σy²) over the
+//! ratio-sorted samples score every split in O(1), with a bound on each
+//! score's rounding error; only the splits that bound cannot rule out are
+//! re-scored exactly with [`LinReg::fit`] and a residual sum. The chosen
+//! lines are bit-for-bit those of the exhaustive O(n²) split search.
 
 use tacker_kernel::SimTime;
 
@@ -95,27 +102,83 @@ impl FusedPairModel {
         })
     }
 
+    /// Picks the split of the ratio-sorted samples whose two stage lines
+    /// have the least total squared error, in O(n).
+    ///
+    /// The result is the one an exhaustive search returns: fit both sides of
+    /// every split with [`LinReg::fit`], sum the squared residuals, keep the
+    /// first strict minimum. Prefix sums score each split in O(1) together
+    /// with a bound on that score's rounding error, which gives a lower
+    /// bound on the split's exact error. One exact fit of the best-scoring
+    /// split caps the minimum; only the splits whose lower bound is within
+    /// that cap (usually just that one) and the splits too ill-conditioned
+    /// to score are then fitted exactly.
     fn fit_split(sorted: &[(f64, f64)]) -> Result<(LinReg, LinReg), PredictError> {
+        let degenerate = |reason: &str| PredictError::Degenerate {
+            reason: reason.to_string(),
+        };
         let n = sorted.len();
+        if n < 4 {
+            return Err(degenerate("fewer than four samples"));
+        }
+        if sorted.iter().any(|(x, y)| !x.is_finite() || !y.is_finite()) {
+            return Err(degenerate("non-finite sample"));
+        }
+        let splits = 2..=(n - 2);
+        let total = sorted.iter().fold(Sums::default(), |s, &p| s.add(p));
+        let tol = Tolerance::of(sorted);
+        let mut low = Sums::default().add(sorted[0]);
+        let mut guess: Option<(f64, usize)> = None;
+        let lower: Vec<f64> = splits
+            .clone()
+            .map(|split| {
+                low = low.add(sorted[split - 1]);
+                let (Some((lo_sse, lo_err)), Some((hi_sse, hi_err))) =
+                    (low.sse(&tol), total.sub(low).sse(&tol))
+                else {
+                    return f64::NEG_INFINITY; // never pruned
+                };
+                let sse = lo_sse + hi_sse;
+                if guess.is_none_or(|(g, _)| sse < g) {
+                    guess = Some((sse, split));
+                }
+                sse - lo_err - hi_err
+            })
+            .collect();
+        // With values beyond ±1e60 the exact residuals can overflow: prune nothing.
+        let cap = match guess.and_then(|(_, split)| Self::exact_split(sorted, split)) {
+            Some((sse, _, _)) if tol.tame => sse,
+            _ => f64::INFINITY,
+        };
         let mut best: Option<(f64, LinReg, LinReg)> = None;
-        for split in 2..=(n - 2) {
-            let (lo, hi) = sorted.split_at(split);
-            let (Ok(l), Ok(h)) = (LinReg::fit(lo), LinReg::fit(hi)) else {
+        for (split, bound) in splits.zip(lower) {
+            if bound > cap {
+                continue;
+            }
+            let Some((sse, l, h)) = Self::exact_split(sorted, split) else {
                 continue;
             };
-            let sse: f64 = lo
-                .iter()
-                .map(|(x, y)| (y - l.predict(*x)).powi(2))
-                .chain(hi.iter().map(|(x, y)| (y - h.predict(*x)).powi(2)))
-                .sum();
             if best.as_ref().is_none_or(|(b, _, _)| sse < *b) {
                 best = Some((sse, l, h));
             }
         }
         best.map(|(_, l, h)| (l, h))
-            .ok_or(PredictError::Degenerate {
-                reason: "no valid two-stage split".to_string(),
-            })
+            .ok_or_else(|| degenerate("no valid two-stage split"))
+    }
+
+    /// Fits both sides of one split and sums their squared residuals;
+    /// `None` when either side cannot be fitted.
+    fn exact_split(sorted: &[(f64, f64)], split: usize) -> Option<(f64, LinReg, LinReg)> {
+        let (lo, hi) = sorted.split_at(split);
+        let (Ok(l), Ok(h)) = (LinReg::fit(lo), LinReg::fit(hi)) else {
+            return None;
+        };
+        let sse: f64 = lo
+            .iter()
+            .map(|(x, y)| (y - l.predict(*x)).powi(2))
+            .chain(hi.iter().map(|(x, y)| (y - h.predict(*x)).powi(2)))
+            .sum();
+        Some((sse, l, h))
     }
 
     fn inflection_of(low: &LinReg, high: &LinReg, sorted: &[(f64, f64)]) -> f64 {
@@ -224,6 +287,92 @@ impl FusedPairModel {
     /// The two fitted stage lines `(before, after)`.
     pub fn lines(&self) -> (&LinReg, &LinReg) {
         (&self.low, &self.high)
+    }
+}
+
+/// Running least-squares sums over one side of a split.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sums {
+    n: f64,
+    x: f64,
+    y: f64,
+    xx: f64,
+    xy: f64,
+    yy: f64,
+}
+
+impl Sums {
+    fn add(self, (x, y): (f64, f64)) -> Sums {
+        Sums {
+            n: self.n + 1.0,
+            x: self.x + x,
+            y: self.y + y,
+            xx: self.xx + x * x,
+            xy: self.xy + x * y,
+            yy: self.yy + y * y,
+        }
+    }
+
+    fn sub(self, o: Sums) -> Sums {
+        Sums {
+            n: self.n - o.n,
+            x: self.x - o.x,
+            y: self.y - o.y,
+            xx: self.xx - o.xx,
+            xy: self.xy - o.xy,
+            yy: self.yy - o.yy,
+        }
+    }
+
+    /// The least-squares line's squared error over these samples and a
+    /// bound on how far that estimate, or the residual sum of any
+    /// [`LinReg::fit`] of the same samples, can fall below it. `None` when
+    /// the x spread is too small next to its rounding error to tell.
+    fn sse(&self, tol: &Tolerance) -> Option<(f64, f64)> {
+        let cxx = self.xx - self.x * self.x / self.n;
+        let cxy = self.xy - self.x * self.y / self.n;
+        let cyy = self.yy - self.y * self.y / self.n;
+        // A clear spread also guarantees `LinReg::fit` accepts the side.
+        if !(cxx > 4.0 * tol.xx && self.n * (cxx - 2.0 * tol.xx) >= 2e-12) {
+            return None;
+        }
+        // Largest slope within the error box, then first-order propagation
+        // of the three centred sums' errors through `cyy - cxy² / cxx`.
+        let slope = (cxy.abs() + tol.xy) / (cxx - tol.xx);
+        let err = tol.yy + 2.0 * slope * tol.xy + slope * slope * tol.xx;
+        Some((cyy - cxy * cxy / cxx, err))
+    }
+}
+
+/// Absolute rounding-error bounds on the centred sums `Σ(x-x̄)²`,
+/// `Σ(x-x̄)(y-ȳ)` and `Σ(y-ȳ)²` of any side of a split.
+///
+/// A running sum of `n` terms, and a total minus a prefix, err by at most
+/// `n·ε·Σ|term|`; with `|x| ≤ mx`, `|y| ≤ my` that and the centring stay
+/// within `4n²ε·mx²` (`mx·my`, `my²`). Twice that also covers the rounding
+/// of an exact fit's residual sum.
+#[derive(Debug, Clone, Copy)]
+struct Tolerance {
+    xx: f64,
+    xy: f64,
+    yy: f64,
+    /// Whether every value is within ±1e60, so no exact residual overflows.
+    tame: bool,
+}
+
+impl Tolerance {
+    fn of(samples: &[(f64, f64)]) -> Tolerance {
+        let (mx, my) = samples.iter().fold((0.0f64, 0.0f64), |(mx, my), (x, y)| {
+            (mx.max(x.abs()), my.max(y.abs()))
+        });
+        let n = samples.len() as f64;
+        let unit = 8.0 * n * n * f64::EPSILON;
+        Tolerance {
+            xx: unit * mx * mx,
+            xy: unit * mx * my,
+            yy: unit * my * my,
+            tame: mx <= 1e60 && my <= 1e60,
+        }
     }
 }
 
@@ -345,6 +494,26 @@ mod tests {
     fn negative_ratios_clamp_to_zero() {
         let m = FusedPairModel::fit("p", &paper_profile()).unwrap();
         assert_eq!(m.predict_norm(-5.0), m.predict_norm(0.0));
+    }
+
+    #[test]
+    fn split_search_rejects_short_and_non_finite_input() {
+        for short in [
+            &[][..],
+            &[(0.1, 1.0)],
+            &[(0.1, 1.0), (0.2, 1.0), (1.8, 2.0)],
+        ] {
+            assert!(matches!(
+                FusedPairModel::fit_split(short),
+                Err(PredictError::Degenerate { .. })
+            ));
+        }
+        let mut profile = paper_profile();
+        profile[2].1 = f64::INFINITY;
+        assert!(matches!(
+            FusedPairModel::fit("p", &profile),
+            Err(PredictError::Degenerate { .. })
+        ));
     }
 
     #[test]

@@ -109,16 +109,21 @@ impl LinReg {
 }
 
 /// Mean absolute percentage error of predictions against samples, in `[0, ∞)`.
+///
+/// Samples with `|y| ≤ 1e-12` have no percentage error and are left out of
+/// the mean; with none left the error is 0.
 pub fn mean_abs_pct_error(pred: impl Fn(f64) -> f64, samples: &[(f64, f64)]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples
+    let (sum, scored) = samples
         .iter()
         .filter(|(_, y)| y.abs() > 1e-12)
-        .map(|(x, y)| ((pred(*x) - y) / y).abs())
-        .sum::<f64>()
-        / samples.len() as f64
+        .fold((0.0, 0usize), |(sum, scored), (x, y)| {
+            (sum + ((pred(*x) - y) / y).abs(), scored + 1)
+        });
+    if scored == 0 {
+        0.0
+    } else {
+        sum / scored as f64
+    }
 }
 
 #[cfg(test)]
@@ -180,6 +185,15 @@ mod tests {
         assert!(e < 1e-12);
         let e = mean_abs_pct_error(|x| 2.2 * x, &samples);
         assert!((e - 0.1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn mape_leaves_zero_targets_out_of_the_mean() {
+        let samples = [(1.0, 2.0), (2.0, 4.0), (3.0, 0.0)];
+        let e = mean_abs_pct_error(|x| 2.2 * x, &samples);
+        assert!((e - 0.1).abs() < 1e-9, "{e}");
+        assert_eq!(mean_abs_pct_error(|x| x, &[(1.0, 0.0)]), 0.0);
+        assert_eq!(mean_abs_pct_error(|x| x, &[]), 0.0);
     }
 }
 
