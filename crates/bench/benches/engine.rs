@@ -1,9 +1,9 @@
 //! Criterion benches for the discrete-event engine: solo and fused kernel
-//! simulation throughput.
+//! simulation throughput, and the cost of a warm device-cache hit.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tacker_fuser::{fuse_flexible, FusionConfig};
-use tacker_sim::{simulate, ExecutablePlan, GpuSpec};
+use tacker_sim::{simulate, Device, ExecutablePlan, GpuSpec};
 use tacker_workloads::gemm::{gemm_workload, GemmShape};
 use tacker_workloads::parboil::Benchmark;
 
@@ -36,6 +36,15 @@ fn bench_engine(c: &mut Criterion) {
     let fused_plan = ExecutablePlan::from_launch(&spec, &launch).expect("plan");
     c.bench_function("simulate_fused_gemm_fft", |b| {
         b.iter(|| simulate(&spec, &fused_plan).expect("run"))
+    });
+
+    // What the serve loop pays per launch once the cache is warm: one
+    // fingerprint hash plus one shard probe, no lowering.
+    let device = Device::new(spec.clone());
+    let warm = tc.launch();
+    device.run_launch(&warm).expect("cold run");
+    c.bench_function("warm_run_launch_hit", |b| {
+        b.iter(|| device.run_launch(black_box(&warm)).expect("hit"))
     });
 }
 

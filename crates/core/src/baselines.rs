@@ -85,8 +85,7 @@ pub fn overlap_experiment(
                         let e = entry.lock().expect("entry poisoned");
                         e.fused.launch(tc.grid, cd.grid, &tc.bindings, &cd.bindings)
                     };
-                    let plan = ExecutablePlan::from_launch(spec, &launch)?;
-                    device.run_plan(&plan)?.duration
+                    device.run_launch(&launch)?.duration
                 }
                 // Declined fusion: sequential execution.
                 None => solo_tc + solo_cd,

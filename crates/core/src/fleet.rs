@@ -586,7 +586,7 @@ impl FleetRun {
             for (s, svc) in services.iter().enumerate() {
                 let mut total = SimTime::ZERO;
                 for k in svc.lc.query_kernels() {
-                    total += dev.run_launch(&k.launch())?.duration;
+                    total += k.run_on(dev)?.duration;
                 }
                 service_time[d][s] = total;
             }
@@ -597,7 +597,7 @@ impl FleetRun {
             .map(|svc| {
                 let mut hasher = StableHasher::new();
                 for k in svc.lc.query_kernels() {
-                    hasher.write_u64(k.launch().fingerprint());
+                    hasher.write_u64(k.fingerprint());
                 }
                 hasher.finish()
             })
@@ -803,6 +803,10 @@ impl FleetRun {
                 },
                 report,
             });
+        }
+        fleet_latency.shrink_to_fit();
+        for svc in &mut fleet_services {
+            svc.latency.shrink_to_fit();
         }
         let total_events: u64 = dev_outstanding.iter().map(|e| e.1).sum();
         let total_sum: u64 = dev_outstanding.iter().map(|e| e.0).sum();

@@ -24,7 +24,6 @@ use tacker_fuser::{
 };
 use tacker_kernel::{KernelId, KernelKind, SimTime, SmCapacity};
 use tacker_predictor::FusedPairModel;
-use tacker_sim::ExecutablePlan;
 use tacker_workloads::WorkloadKernel;
 
 use crate::error::TackerError;
@@ -197,8 +196,7 @@ impl FusionLibrary {
         cd_grid: u64,
     ) -> Result<SimTime, TackerError> {
         let launch = fused.launch(tc.grid, cd_grid, &tc.bindings, &cd.bindings);
-        let plan = ExecutablePlan::from_launch(self.profiler.device().spec(), &launch)?;
-        Ok(self.profiler.device().run_plan(&plan)?.duration)
+        Ok(self.profiler.device().run_launch(&launch)?.duration)
     }
 
     /// Prepares (or retrieves) the entry for an oriented pair, using the

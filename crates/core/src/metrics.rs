@@ -7,9 +7,6 @@
 //! bounded-memory latency accumulator built on that module: exact
 //! samples up to a retention limit, a fixed-memory sketch beyond it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use tacker_kernel::SimTime;
 use tacker_trace::quantile::nearest_rank;
 use tacker_trace::QuantileSketch;
@@ -43,20 +40,15 @@ pub fn percentile(samples: &[SimTime], p: f64) -> SimTime {
 /// before spilling into the fixed-memory sketch. Small enough that batch
 /// experiments (tens to hundreds of queries) stay exact — and therefore
 /// bit-identical to the pre-sketch reports — while long serving runs cap
-/// out at ~32 KiB of samples plus the sketch.
+/// out at ~32 KiB of samples plus the 8–32 KiB sketch.
 pub const DEFAULT_EXACT_LIMIT: usize = 4096;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Repr {
-    /// Every sample retained; percentiles are exact. The sorted cache is
-    /// built lazily on the first percentile query and reused until the
-    /// next observation, so repeated `p99_latency()` calls stop
-    /// re-sorting the sample vector.
-    Exact {
-        samples: Vec<SimTime>,
-        sorted: Mutex<Option<Vec<SimTime>>>,
-        limit: usize,
-    },
+    /// Every sample retained; percentiles are exact. A percentile query
+    /// sorts a scratch copy and keeps nothing: a finished run's report
+    /// holds only its samples.
+    Exact { samples: Vec<SimTime>, limit: usize },
     /// Fixed-memory DDSketch-style summary; percentiles are within
     /// [`QuantileSketch::RELATIVE_ERROR`] of exact.
     Sketch(QuantileSketch),
@@ -76,31 +68,10 @@ enum Repr {
 /// struct tracks its own [`peak_bytes`](LatencyStats::peak_bytes) —
 /// the high-water mark of retained sample memory — which the bench
 /// suite's bounded-memory gate reads.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LatencyStats {
     repr: Repr,
-    peak_bytes: AtomicUsize,
-}
-
-impl Clone for LatencyStats {
-    fn clone(&self) -> Self {
-        let repr = match &self.repr {
-            Repr::Exact {
-                samples,
-                sorted,
-                limit,
-            } => Repr::Exact {
-                samples: samples.clone(),
-                sorted: Mutex::new(sorted.lock().unwrap().clone()),
-                limit: *limit,
-            },
-            Repr::Sketch(s) => Repr::Sketch(s.clone()),
-        };
-        LatencyStats {
-            repr,
-            peak_bytes: AtomicUsize::new(self.peak_bytes.load(Ordering::Relaxed)),
-        }
-    }
+    peak_bytes: usize,
 }
 
 impl Default for LatencyStats {
@@ -128,33 +99,26 @@ impl LatencyStats {
         } else {
             Repr::Exact {
                 samples: Vec::new(),
-                sorted: Mutex::new(None),
                 limit,
             }
         };
-        let stats = LatencyStats {
+        let mut stats = LatencyStats {
             repr,
-            peak_bytes: AtomicUsize::new(0),
+            peak_bytes: 0,
         };
         stats.note_retained();
         stats
     }
 
-    fn note_retained(&self) {
-        let bytes = self.retained_bytes();
-        self.peak_bytes.fetch_max(bytes, Ordering::Relaxed);
+    fn note_retained(&mut self) {
+        self.peak_bytes = self.peak_bytes.max(self.retained_bytes());
     }
 
     /// Records one query latency.
     pub fn observe(&mut self, latency: SimTime) {
         let spill = match &mut self.repr {
-            Repr::Exact {
-                samples,
-                sorted,
-                limit,
-            } => {
+            Repr::Exact { samples, limit } => {
                 samples.push(latency);
-                *sorted.get_mut().unwrap() = None;
                 samples.len() > *limit
             }
             Repr::Sketch(s) => {
@@ -204,9 +168,8 @@ impl LatencyStats {
     }
 
     /// The p-th percentile, `p ∈ [0, 100]` (`None` when empty): exact
-    /// nearest-rank in exact mode (cached sort, invalidated on observe),
-    /// sketch estimate within [`QuantileSketch::RELATIVE_ERROR`]
-    /// otherwise.
+    /// nearest-rank in exact mode (the free [`percentile`]), sketch
+    /// estimate within [`QuantileSketch::RELATIVE_ERROR`] otherwise.
     ///
     /// # Panics
     ///
@@ -214,24 +177,7 @@ impl LatencyStats {
     pub fn percentile(&self, p: f64) -> Option<SimTime> {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
         match &self.repr {
-            Repr::Exact {
-                samples, sorted, ..
-            } => {
-                if samples.is_empty() {
-                    return None;
-                }
-                let mut cache = sorted.lock().unwrap();
-                let sorted_samples = cache.get_or_insert_with(|| {
-                    let mut v = samples.clone();
-                    v.sort_unstable();
-                    v
-                });
-                let rank = nearest_rank(sorted_samples.len() as u64, p / 100.0) as usize;
-                let out = sorted_samples[rank - 1];
-                drop(cache);
-                self.note_retained();
-                Some(out)
-            }
+            Repr::Exact { samples, .. } => (!samples.is_empty()).then(|| percentile(samples, p)),
             Repr::Sketch(s) => s.percentile(p / 100.0).map(SimTime::from_nanos),
         }
     }
@@ -250,22 +196,21 @@ impl LatencyStats {
         matches!(self.repr, Repr::Sketch(_))
     }
 
-    /// Bytes currently held for latency samples: the sample vector plus
-    /// any sorted cache in exact mode, the fixed sketch footprint in
-    /// sketch mode.
+    /// Bytes currently held for latency samples: the sample vector in
+    /// exact mode, the sketch footprint in sketch mode.
     pub fn retained_bytes(&self) -> usize {
         match &self.repr {
-            Repr::Exact {
-                samples, sorted, ..
-            } => {
-                let cache = sorted
-                    .lock()
-                    .unwrap()
-                    .as_ref()
-                    .map_or(0, |v| v.capacity() * std::mem::size_of::<SimTime>());
-                samples.capacity() * std::mem::size_of::<SimTime>() + cache
-            }
+            Repr::Exact { samples, .. } => samples.capacity() * std::mem::size_of::<SimTime>(),
             Repr::Sketch(s) => s.memory_bytes(),
+        }
+    }
+
+    /// Releases the spare capacity of the exact-mode sample vector, for
+    /// stats that will take no more samples (a finished run's report).
+    /// Does not touch the recorded samples or the peak.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        if let Repr::Exact { samples, .. } = &mut self.repr {
+            samples.shrink_to_fit();
         }
     }
 
@@ -273,7 +218,7 @@ impl LatencyStats {
     /// over the stats' lifetime — what the bounded-memory bench gate
     /// checks stays flat as query count grows in sketch mode.
     pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes.load(Ordering::Relaxed)
+        self.peak_bytes
     }
 
     /// This stream as a [`QuantileSketch`] (built from the samples in
@@ -402,6 +347,25 @@ mod tests {
             assert_eq!(stats.percentile(p), Some(percentile(&s, p)));
         }
         assert_eq!(stats.samples(), &s[..]);
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_samples_and_peak() {
+        let s = times(&[90, 10, 50, 70, 30]);
+        let mut stats = LatencyStats::exact();
+        for &t in &s {
+            stats.observe(t);
+        }
+        let p99 = stats.percentile(99.0);
+        let peak = stats.peak_bytes();
+        stats.shrink_to_fit();
+        assert_eq!(stats.samples(), &s[..]);
+        assert_eq!(stats.percentile(99.0), p99);
+        assert_eq!(
+            stats.retained_bytes(),
+            s.len() * std::mem::size_of::<SimTime>()
+        );
+        assert_eq!(stats.peak_bytes(), peak);
     }
 
     #[test]

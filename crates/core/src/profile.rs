@@ -103,12 +103,12 @@ impl KernelProfiler {
     ///
     /// Propagates simulation errors.
     pub fn measure(&self, wk: &WorkloadKernel) -> Result<SimTime, TackerError> {
-        let launch = wk.launch();
-        let duration = self.device.run_launch(&launch)?.duration;
+        let fp = wk.fingerprint();
+        let duration = self.device.run_keyed(fp, &wk.def, || wk.launch())?.duration;
         self.history
             .lock()
             .expect("history poisoned")
-            .insert(launch.fingerprint(), duration);
+            .insert(fp, duration);
         Ok(duration)
     }
 
@@ -169,7 +169,7 @@ impl KernelProfiler {
                 .history
                 .lock()
                 .expect("history poisoned")
-                .get(&wk.launch().fingerprint())
+                .get(&wk.fingerprint())
             {
                 return Ok(*seen);
             }

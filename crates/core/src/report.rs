@@ -46,7 +46,7 @@ impl ServiceReport {
     }
 
     /// 99th-percentile query latency (`None` when no query completed).
-    /// Exact in sample mode (with a cached sort), sketch-estimated within
+    /// Exact in sample mode, sketch-estimated within
     /// `QuantileSketch::RELATIVE_ERROR` in sketch mode.
     pub fn p99_latency(&self) -> Option<SimTime> {
         self.latency.percentile(99.0)

@@ -26,10 +26,10 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use tacker_kernel::{SimTime, StableHasher};
+use tacker_kernel::{KernelDef, SimTime, StableHasher};
 use tacker_sim::core::{Event, EventHandler, Schedule, Simulation, SimulationContext};
 use tacker_sim::queue::{HeapQueue, SimQueue};
-use tacker_sim::{scale_run, Device, ExecutablePlan, TimelineRecorder};
+use tacker_sim::{scale_run, Device, TimelineRecorder};
 use tacker_trace::timeseries::{SpanKind, WindowRow, WindowSeries};
 use tacker_trace::{MetricsRegistry, NoopSink, TraceEvent, TraceSink};
 use tacker_workloads::{BeApp, LcService, WorkloadKernel};
@@ -453,20 +453,31 @@ struct ActiveQuery {
 
 struct BeState {
     app: BeApp,
-    queue: VecDeque<WorkloadKernel>,
+    /// Position of the head kernel within the current task iteration.
+    next: usize,
 }
 
 impl BeState {
-    fn head(&mut self) -> Option<WorkloadKernel> {
-        if self.queue.is_empty() {
-            // Endless task stream: refill with the next iteration.
-            self.queue.extend(self.app.task_kernels().iter().cloned());
-        }
-        self.queue.front().cloned()
+    fn head(&self) -> Option<&WorkloadKernel> {
+        self.app.task_kernels().get(self.next)
     }
 
+    /// Retires the head; the endless task stream wraps to the next
+    /// iteration after its last kernel.
     fn pop(&mut self) {
-        self.queue.pop_front();
+        self.next += 1;
+        if self.next == self.app.task_kernels().len() {
+            self.next = 0;
+        }
+    }
+}
+
+/// Retires BE app `i`'s head kernel and refreshes the manager's view of
+/// the app's head (a `None` view — BE work disabled — stays `None`).
+fn pop_be(states: &mut [BeState], heads: &mut [Option<WorkloadKernel>], i: usize) {
+    states[i].pop();
+    if heads[i].is_some() {
+        heads[i] = states[i].head().cloned();
     }
 }
 
@@ -689,8 +700,15 @@ pub(crate) fn run_engine(
         .iter()
         .map(|a| BeState {
             app: a.clone(),
-            queue: VecDeque::new(),
+            next: 0,
         })
+        .collect();
+    // The manager's view of each BE app's ready head, kept across
+    // decisions: an entry changes only when its app retires a kernel
+    // (`pop_be`). All `None` when the policy runs no BE work.
+    let mut be_heads: Vec<Option<WorkloadKernel>> = be_states
+        .iter()
+        .map(|b| b.head().filter(|_| policy.best_effort_enabled()).cloned())
         .collect();
 
     // Steady-state fast path (see ServeOptions::fast_path): eligible only
@@ -716,10 +734,9 @@ pub(crate) fn run_engine(
             let mut runs = Vec::with_capacity(svc.lc.query_kernels().len());
             let mut kernel_ids = Vec::with_capacity(svc.lc.query_kernels().len());
             for k in svc.lc.query_kernels() {
-                let launch = k.launch();
-                hasher.write_u64(launch.fingerprint());
+                hasher.write_u64(k.fingerprint());
                 kernel_ids.push(k.def.id().get());
-                runs.push(device.run_launch(&launch)?);
+                runs.push(k.run_on(device)?);
             }
             let fp = hasher.finish();
             service_fp.push(fp);
@@ -765,9 +782,10 @@ pub(crate) fn run_engine(
     let mut last_cache = windows.is_some().then(|| device.fused_cache_stats());
     // Per-class fault counters (FAULT_KINDS order) for attribution.
     let mut fault_counts = [0u64; 4];
-    // The last co-running BE kernel launched, as (name, fingerprint) —
-    // the co-runner a violation is attributed to.
-    let mut last_be: Option<(String, u64)> = None;
+    // The definition of the last co-running BE kernel launched — the
+    // co-runner a violation is attributed to. Named only when a violation
+    // record is written.
+    let mut last_be: Option<Arc<KernelDef>> = None;
     // Last guard ladder level pushed into the window series.
     let mut last_guard_level: Option<crate::guard::GuardLevel> = None;
     let mut report = RunReport {
@@ -802,9 +820,6 @@ pub(crate) fn run_engine(
         guard_log: Vec::new(),
     };
 
-    let run_kernel = |wk: &WorkloadKernel| -> Result<Arc<tacker_sim::KernelRun>, TackerError> {
-        Ok(device.run_launch(&wk.launch())?)
-    };
     // One KernelRetired event per device launch, carrying the manager's
     // predicted duration next to the realized one.
     let retire = |sink: &dyn TraceSink,
@@ -908,15 +923,15 @@ pub(crate) fn run_engine(
                 let Some(wk) = be_states[bi].head() else {
                     continue;
                 };
-                let predicted = profiler.predict(&wk)?;
-                let run = run_kernel(&wk)?;
+                let predicted = profiler.predict(wk)?;
+                let run = wk.run_on(device)?;
+                last_be = Some(Arc::clone(&wk.def));
                 launch_seq += 1;
                 now += run.duration;
                 report.busy += run.duration;
                 report.be_work += run.duration;
                 report.be_kernels += 1;
-                be_states[bi].pop();
-                last_be = Some((wk.def.name().to_string(), wk.def.id().get()));
+                pop_be(&mut be_states, &mut be_heads, bi);
                 if let Some(ws) = windows.as_mut() {
                     let (tc, cd) = run.pipe_utilizations();
                     ws.on_span(
@@ -1112,12 +1127,6 @@ pub(crate) fn run_engine(
                 .front()
                 .and_then(|q| q.pending.front().map(|&i| (q.service, i)))
                 .map(|(si, i)| &services[si].lc.query_kernels()[i]);
-            let be_heads: Vec<Option<WorkloadKernel>> = if policy.best_effort_enabled() {
-                be_states.iter_mut().map(BeState::head).collect()
-            } else {
-                vec![None; be_states.len()]
-            };
-
             let was_idle = active.is_empty();
             manager.set_now(now);
             m_decisions.inc();
@@ -1135,7 +1144,7 @@ pub(crate) fn run_engine(
                         .pending
                         .pop_front()
                         .expect("RunLc implies a pending kernel");
-                    let mut run = run_kernel(&services[si].lc.query_kernels()[idx])?;
+                    let mut run = services[si].lc.query_kernels()[idx].run_on(device)?;
                     launch_seq += 1;
                     let mf = mispredict[si][idx];
                     if mf != 1.0 {
@@ -1199,7 +1208,6 @@ pub(crate) fn run_engine(
                     predicted,
                     ..
                 } => {
-                    let plan = ExecutablePlan::from_launch(device.spec(), &launch)?;
                     // LC kernel completed via fusion.
                     let q = active.front_mut().expect("fusion implies an active query");
                     let si = q.service;
@@ -1207,7 +1215,7 @@ pub(crate) fn run_engine(
                         .pending
                         .pop_front()
                         .expect("fusion implies a pending kernel");
-                    let mut run = device.run_plan(&plan)?;
+                    let mut run = device.run_launch(&launch)?;
                     launch_seq += 1;
                     // A mispredicted LC kernel is just as slow inside a fused
                     // launch as outside it.
@@ -1259,9 +1267,9 @@ pub(crate) fn run_engine(
                         .expect("fusion used this BE head");
                     report.be_work += profiler.measure(be_wk)?;
                     report.be_kernels += 1;
-                    be_states[be_index].pop();
+                    last_be = Some(Arc::clone(&be_wk.def));
+                    pop_be(&mut be_states, &mut be_heads, be_index);
                     report.fused_launches += 1;
-                    last_be = Some((be_wk.def.name().to_string(), be_wk.def.id().get()));
                     budget -= run.duration.saturating_sub(lc_predicted).as_nanos() as i128;
                     // Online model refresh (>10% error, §VI-C) and pair
                     // blacklisting when fusion lost to sequential (§VIII-I).
@@ -1294,7 +1302,7 @@ pub(crate) fn run_engine(
                     predicted,
                 } => {
                     let be_wk = be_heads[be_index].as_ref().expect("BE head exists");
-                    let mut run = run_kernel(be_wk)?;
+                    let mut run = be_wk.run_on(device)?;
                     launch_seq += 1;
                     let sf = faults.straggler_factor(launch_seq);
                     if sf != 1.0 {
@@ -1326,8 +1334,9 @@ pub(crate) fn run_engine(
                     }
                     report.be_work += run.duration;
                     report.be_kernels += 1;
-                    be_states[be_index].pop();
-                    last_be = Some((be_wk.def.name().to_string(), be_wk.def.id().get()));
+                    let be_id = be_wk.def.id().get();
+                    last_be = Some(Arc::clone(&be_wk.def));
+                    pop_be(&mut be_states, &mut be_heads, be_index);
                     if was_idle {
                         // Free-running BE during idle replenishes the budget.
                         budget = budget_cap.min(budget + run.duration.as_nanos() as i128);
@@ -1336,7 +1345,7 @@ pub(crate) fn run_engine(
                         budget -= run.duration.as_nanos() as i128;
                     }
                     if let Some(g) = &guard {
-                        let step = g.observe_launch(be_wk.def.id().get(), predicted, run.duration);
+                        let step = g.observe_launch(be_id, predicted, run.duration);
                         guard_note(&mut report, now, step);
                     }
                     if let Some(tl) = report.timeline.as_mut() {
@@ -1410,7 +1419,9 @@ pub(crate) fn run_engine(
                         target: config.qos_target,
                         guard_level: guard.as_ref().map(|g| g.level()),
                         faults: in_effect,
-                        be_kernel: last_be.clone(),
+                        be_kernel: last_be
+                            .as_ref()
+                            .map(|d| (d.name().to_string(), d.id().get())),
                         queue_depth: q.depth_at_admission,
                     });
                 }
@@ -1461,6 +1472,10 @@ pub(crate) fn run_engine(
     }
     report.wall = now;
     report.guard_level = guard.as_ref().map(|g| g.level());
+    report.latency.shrink_to_fit();
+    for svc in &mut report.services {
+        svc.latency.shrink_to_fit();
+    }
     sink.flush();
     Ok(report)
 }

@@ -354,11 +354,19 @@ impl KernelLaunch {
     /// launches fingerprint identically across runs and processes — a
     /// fused kernel rebuilt by a later run hits caches keyed by this value.
     pub fn fingerprint(&self) -> u64 {
+        KernelLaunch::fingerprint_of(&self.def, self.grid_blocks, &self.bindings)
+    }
+
+    /// The [`KernelLaunch::fingerprint`] of the launch `(def, grid_blocks,
+    /// bindings)` would make, computed from borrowed parts: callers that
+    /// only need the cache key (a device-cache probe, a history lookup)
+    /// never clone the bindings into a launch.
+    pub fn fingerprint_of(def: &KernelDef, grid_blocks: u64, bindings: &Bindings) -> u64 {
         let mut h = StableHasher::new();
-        h.write_u64(self.def.id().get());
-        h.write_u64(self.grid_blocks);
-        h.write_u64(self.bindings.len() as u64);
-        for (k, v) in &self.bindings {
+        h.write_u64(def.id().get());
+        h.write_u64(grid_blocks);
+        h.write_u64(bindings.len() as u64);
+        for (k, v) in bindings {
             h.write_str(k);
             h.write_u64(*v);
         }
@@ -463,6 +471,12 @@ mod tests {
         assert_ne!(l1.fingerprint(), l2.fingerprint());
         assert_ne!(l1.fingerprint(), l3.fingerprint());
         assert_eq!(l1.fingerprint(), l1.fingerprint());
+        for l in [&l1, &l2, &l3] {
+            assert_eq!(
+                KernelLaunch::fingerprint_of(&l.def, l.grid_blocks, &l.bindings),
+                l.fingerprint()
+            );
+        }
     }
 
     #[test]

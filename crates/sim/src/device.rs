@@ -14,6 +14,12 @@
 //! racing double-miss simply computes the same `KernelRun` twice and
 //! stores it once.
 //!
+//! Lookups probe by fingerprint before anything else: a hit costs one
+//! fingerprint hash plus one shard probe, and a launch is lowered into an
+//! [`ExecutablePlan`] on a miss only. Callers that hold a launch's parts
+//! rather than a [`KernelLaunch`] use [`Device::run_keyed`] and build the
+//! launch on a miss only.
+//!
 //! Results are stored and returned as `Arc<KernelRun>`: a cache hit is a
 //! refcount bump, never a deep copy of the run's interval and role
 //! vectors. Shared runs are immutable by construction — consumers that
@@ -23,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tacker_kernel::KernelLaunch;
+use tacker_kernel::{KernelDef, KernelKind, KernelLaunch};
 
 use crate::engine::simulate;
 use crate::error::SimError;
@@ -77,16 +83,39 @@ impl Device {
         &self.shards[(fp as usize) & (CACHE_SHARDS - 1)]
     }
 
-    /// Executes a plain kernel launch (lower → plan → simulate), memoized.
-    /// The returned handle shares the cached run — a repeat launch costs
-    /// a refcount bump, not a copy.
+    /// Executes a plain kernel launch, memoized. The cache is probed by
+    /// the launch fingerprint first; lowering (`lower → plan → simulate`)
+    /// happens on a miss only, so a repeat launch costs one fingerprint
+    /// hash, one shard probe and a refcount bump.
     ///
     /// # Errors
     ///
-    /// Propagates plan construction and simulation errors.
+    /// Propagates plan construction and simulation errors. Failures are
+    /// not cached, so a launch that fails lowering fails on every call.
     pub fn run_launch(&self, launch: &KernelLaunch) -> Result<Arc<KernelRun>, SimError> {
-        let plan = ExecutablePlan::from_launch(&self.spec, launch)?;
-        self.run_plan(&plan)
+        self.run_keyed(launch.fingerprint(), &launch.def, || launch.clone())
+    }
+
+    /// [`Device::run_launch`] keyed by a precomputed fingerprint: `fp`
+    /// must equal `launch().fingerprint()` and `def` must be the launch's
+    /// definition. `launch` is called on a miss only, so callers holding
+    /// the launch's parts (a `WorkloadKernel`) build no launch on a hit.
+    ///
+    /// # Errors
+    ///
+    /// As [`Device::run_launch`].
+    pub fn run_keyed(
+        &self,
+        fp: u64,
+        def: &KernelDef,
+        launch: impl FnOnce() -> KernelLaunch,
+    ) -> Result<Arc<KernelRun>, SimError> {
+        if let Some(hit) = self.probe(fp, def.kind() == KernelKind::Fused) {
+            return Ok(hit);
+        }
+        let launch = launch();
+        debug_assert_eq!(launch.fingerprint(), fp, "run_keyed: key/launch mismatch");
+        self.run_miss(&ExecutablePlan::from_launch(&self.spec, &launch)?, fp)
     }
 
     /// Executes a prepared plan, memoized when the plan has a fingerprint.
@@ -96,25 +125,44 @@ impl Device {
     ///
     /// Propagates simulation errors. Failures are not cached.
     pub fn run_plan(&self, plan: &ExecutablePlan) -> Result<Arc<KernelRun>, SimError> {
-        if let Some(fp) = plan.fingerprint {
-            if let Some(hit) = self.shard(fp).lock().expect("cache poisoned").get(&fp) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if plan.fused {
-                    self.fused_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(Arc::clone(hit));
-            }
+        match plan.fingerprint {
+            Some(fp) => match self.probe(fp, plan.fused) {
+                Some(hit) => Ok(hit),
+                None => self.run_miss(plan, fp),
+            },
+            None => self.simulate_counted(plan),
         }
+    }
+
+    /// The one cache probe of a lookup: on a hit, counts it (and a fused
+    /// hit when `fused`) and shares the cached run.
+    fn probe(&self, fp: u64, fused: bool) -> Option<Arc<KernelRun>> {
+        let shard = self.shard(fp).lock().expect("cache poisoned");
+        let hit = Arc::clone(shard.get(&fp)?);
+        drop(shard);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        if fused {
+            self.fused_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(hit)
+    }
+
+    /// Simulates a plan whose probe under `fp` missed and stores the run.
+    fn run_miss(&self, plan: &ExecutablePlan, fp: u64) -> Result<Arc<KernelRun>, SimError> {
+        let run = self.simulate_counted(plan)?;
+        self.shard(fp)
+            .lock()
+            .expect("cache poisoned")
+            .insert(fp, Arc::clone(&run));
+        Ok(run)
+    }
+
+    /// Simulates a plan, counting a miss (and a fused miss) on success.
+    fn simulate_counted(&self, plan: &ExecutablePlan) -> Result<Arc<KernelRun>, SimError> {
         let run = Arc::new(simulate(&self.spec, plan)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         if plan.fused {
             self.fused_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(fp) = plan.fingerprint {
-            self.shard(fp)
-                .lock()
-                .expect("cache poisoned")
-                .insert(fp, Arc::clone(&run));
         }
         Ok(run)
     }
@@ -274,14 +322,76 @@ mod tests {
     use tacker_kernel::ast::{Expr, Stmt};
     use tacker_kernel::{Bindings, Dim3, KernelDef, KernelKind, ResourceUsage};
 
-    fn launch(blocks: u64) -> KernelLaunch {
-        let def = KernelDef::builder("d", KernelKind::Cuda)
+    fn launch_of(kind: KernelKind, shared: u64, blocks: u64) -> KernelLaunch {
+        let def = KernelDef::builder("d", kind)
             .block_dim(Dim3::x(128))
-            .resources(ResourceUsage::new(32, 0))
+            .resources(ResourceUsage::new(32, shared))
             .body(vec![Stmt::compute_cd(Expr::lit(100), "fma")])
             .build()
             .unwrap();
         KernelLaunch::new(Arc::new(def), blocks, Bindings::new())
+    }
+
+    fn launch(blocks: u64) -> KernelLaunch {
+        launch_of(KernelKind::Cuda, 0, blocks)
+    }
+
+    #[test]
+    fn warm_lookups_share_the_run_and_count_one_hit_each() {
+        for kind in [KernelKind::Cuda, KernelKind::Fused] {
+            let dev = Device::new(GpuSpec::rtx2080ti());
+            let l = launch_of(kind, 0, 68);
+            let fused = u64::from(kind == KernelKind::Fused);
+            let cold = dev.run_launch(&l).unwrap();
+            assert_eq!(dev.cache_stats(), (0, 1));
+            assert_eq!(dev.fused_cache_stats(), (0, fused));
+            let warm = dev.run_launch(&l).unwrap();
+            assert!(Arc::ptr_eq(&cold, &warm), "{kind:?}: hit must alias");
+            assert_eq!(dev.cache_stats(), (1, 1));
+            assert_eq!(dev.fused_cache_stats(), (fused, fused));
+            // The keyed entry point hits the same entry and never builds
+            // the launch on a hit.
+            let keyed = dev
+                .run_keyed(l.fingerprint(), &l.def, || unreachable!("built on a hit"))
+                .unwrap();
+            assert!(Arc::ptr_eq(&cold, &keyed), "{kind:?}: keyed hit must alias");
+            assert_eq!(dev.cache_stats(), (2, 1));
+            assert_eq!(dev.fused_cache_stats(), (2 * fused, fused));
+        }
+    }
+
+    #[test]
+    fn keyed_miss_builds_the_launch_once_and_caches_it() {
+        let dev = Device::new(GpuSpec::rtx2080ti());
+        let l = launch(68);
+        let mut built = 0;
+        let run = dev
+            .run_keyed(l.fingerprint(), &l.def, || {
+                built += 1;
+                l.clone()
+            })
+            .unwrap();
+        assert_eq!(built, 1);
+        assert_eq!(dev.cache_stats(), (0, 1));
+        assert!(Arc::ptr_eq(&run, &dev.run_launch(&l).unwrap()));
+    }
+
+    #[test]
+    fn launches_that_fail_lowering_are_never_cached() {
+        let dev = Device::new(GpuSpec::rtx2080ti());
+        // 128 KiB of shared memory per block fits no SM.
+        let fat = launch_of(KernelKind::Cuda, 128 * 1024, 10);
+        for _ in 0..3 {
+            assert!(matches!(
+                dev.run_launch(&fat),
+                Err(SimError::LaunchFailure { .. })
+            ));
+            assert!(dev
+                .run_keyed(fat.fingerprint(), &fat.def, || fat.clone())
+                .is_err());
+        }
+        assert_eq!(dev.cache_len(), 0);
+        assert_eq!(dev.cache_stats(), (0, 0));
     }
 
     #[test]

@@ -77,7 +77,8 @@ impl Interval {
 }
 
 /// Merges a sorted-by-start interval list, closing gaps smaller than
-/// `gap_tolerance` cycles.
+/// `gap_tolerance` cycles. The result has no spare capacity: a device
+/// cache keeps every run's intervals for the device's lifetime.
 pub fn merge_intervals(mut intervals: Vec<Interval>, gap_tolerance: f64) -> Vec<Interval> {
     intervals.retain(|iv| !iv.is_empty());
     intervals.sort_by(|a, b| a.start.total_cmp(&b.start));
@@ -90,6 +91,7 @@ pub fn merge_intervals(mut intervals: Vec<Interval>, gap_tolerance: f64) -> Vec<
             _ => out.push(iv),
         }
     }
+    out.shrink_to_fit();
     out
 }
 
@@ -246,6 +248,7 @@ mod tests {
         ];
         let merged = merge_intervals(ivs, 2.0);
         assert_eq!(merged.len(), 2);
+        assert_eq!(merged.capacity(), 2, "no spare capacity");
         assert_eq!(merged[0].end, 20.0);
     }
 

@@ -25,7 +25,10 @@
 //! and associative — merging per-service sketches in **any order** yields
 //! exactly the sketch of the union stream. This is what lets the serving
 //! runtime keep one sketch per service plus an all-service aggregate and
-//! have the two views agree bit for bit.
+//! have the two views agree bit for bit. Bucket counts are stored as
+//! `u16` and widened to `u64` the first time a bucket would overflow, so
+//! they never saturate; equality compares count values, not storage
+//! width.
 
 /// The nearest-rank of quantile `p ∈ [0, 1]` over `n` samples: the
 /// `⌈p·n⌉`-th smallest sample, clamped into `[1, n]`. Returns 0 only when
@@ -52,19 +55,93 @@ const GAMMA: f64 = 1.005 / 0.995;
 /// non-negative integer samples (nanoseconds, by convention).
 ///
 /// DDSketch-style log buckets with a fixed budget ([`BUCKETS`] = 4096
-/// `u64` counts ≈ 32 KiB, [`QuantileSketch::memory_bytes`]): values below
-/// 1 clamp into the first bucket, values beyond the last bucket clamp into
-/// it. Count, sum, min and max are exact integers; quantiles return the
-/// holding bucket's geometric midpoint clamped into the observed
-/// `[min, max]`, and the top rank returns the exact maximum — mirroring
-/// [`Histogram::percentile`](crate::Histogram::percentile).
-#[derive(Clone, PartialEq, Eq)]
+/// counts, [`QuantileSketch::memory_bytes`]): `u16` counts ≈ 8 KiB,
+/// widened once to `u64` (≈ 32 KiB) if any bucket passes `u16::MAX`
+/// samples. Values below 1 clamp into the first bucket, values beyond the
+/// last bucket clamp into it. Count, sum, min and max are exact integers;
+/// quantiles return the holding bucket's geometric midpoint clamped into
+/// the observed `[min, max]`, and the top rank returns the exact maximum —
+/// mirroring [`Histogram::percentile`](crate::Histogram::percentile).
+#[derive(Clone)]
 pub struct QuantileSketch {
-    counts: Vec<u64>,
+    counts: Counts,
     count: u64,
     sum: u128,
     min: u64,
     max: u64,
+}
+
+impl PartialEq for QuantileSketch {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count
+            && self.sum == other.sum
+            && self.min == other.min
+            && self.max == other.max
+            && (0..BUCKETS).all(|i| self.counts.get(i) == other.counts.get(i))
+    }
+}
+
+impl Eq for QuantileSketch {}
+
+/// Per-bucket counts: `u16` until a bucket would overflow, then `u64`.
+/// Latency sketches rarely see 65,536 samples in one 1%-wide bucket, and
+/// reports that keep many sketches keep them at a quarter of the size.
+#[derive(Clone)]
+enum Counts {
+    Narrow(Box<[u16]>),
+    Wide(Box<[u64]>),
+}
+
+impl Counts {
+    fn get(&self, i: usize) -> u64 {
+        match self {
+            Counts::Narrow(c) => u64::from(c[i]),
+            Counts::Wide(c) => c[i],
+        }
+    }
+
+    /// The counts as `u64`s, converting the storage on first use.
+    fn widen(&mut self) -> &mut [u64] {
+        if let Counts::Narrow(c) = self {
+            *self = Counts::Wide(c.iter().map(|&n| u64::from(n)).collect());
+        }
+        match self {
+            Counts::Wide(c) => c,
+            Counts::Narrow(_) => unreachable!("widened above"),
+        }
+    }
+
+    fn add(&mut self, i: usize, n: u64) {
+        if let Counts::Narrow(c) = self {
+            if let Some(sum) = u16::try_from(n).ok().and_then(|n| c[i].checked_add(n)) {
+                c[i] = sum;
+                return;
+            }
+        }
+        self.widen()[i] += n;
+    }
+
+    fn merge(&mut self, other: &Counts) {
+        if let (Counts::Narrow(a), Counts::Narrow(b)) = (&mut *self, other) {
+            if a.iter()
+                .zip(b.iter())
+                .all(|(x, y)| x.checked_add(*y).is_some())
+            {
+                a.iter_mut().zip(b.iter()).for_each(|(x, y)| *x += y);
+                return;
+            }
+        }
+        for (i, x) in self.widen().iter_mut().enumerate() {
+            *x += other.get(i);
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            Counts::Narrow(c) => std::mem::size_of_val::<[u16]>(c),
+            Counts::Wide(c) => std::mem::size_of_val::<[u64]>(c),
+        }
+    }
 }
 
 impl Default for QuantileSketch {
@@ -92,7 +169,7 @@ impl QuantileSketch {
     /// An empty sketch.
     pub fn new() -> Self {
         QuantileSketch {
-            counts: vec![0; BUCKETS],
+            counts: Counts::Narrow(vec![0; BUCKETS].into_boxed_slice()),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -119,7 +196,7 @@ impl QuantileSketch {
 
     /// Records one sample.
     pub fn observe(&mut self, value: u64) {
-        self.counts[Self::bucket_index(value)] += 1;
+        self.counts.add(Self::bucket_index(value), 1);
         self.count += 1;
         self.sum += u128::from(value);
         self.min = self.min.min(value);
@@ -166,8 +243,8 @@ impl QuantileSketch {
             return Some(self.max);
         }
         let mut seen = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c;
+        for i in 0..BUCKETS {
+            seen += self.counts.get(i);
             if seen >= rank {
                 let mid = Self::bucket_mid(i).round() as u64;
                 return Some(mid.clamp(self.min, self.max));
@@ -176,23 +253,23 @@ impl QuantileSketch {
         Some(self.max)
     }
 
-    /// Folds `other` into `self`. Bucket-wise integer addition:
-    /// commutative, associative, and bit-identical to having observed the
-    /// union stream in any order.
+    /// Folds `other` into `self`. Bucket-wise integer addition (widening
+    /// the counts if a bucket would pass `u16::MAX`): commutative,
+    /// associative, and equal to having observed the union stream in any
+    /// order.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
+        self.counts.merge(&other.counts);
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 
-    /// Fixed memory footprint of the bucket array plus scalars —
-    /// independent of how many samples were observed.
+    /// Memory footprint of the bucket array plus scalars: ≈ 8 KiB, or
+    /// ≈ 32 KiB once a bucket has passed `u16::MAX` samples — independent
+    /// of how many samples were observed otherwise.
     pub fn memory_bytes(&self) -> usize {
-        BUCKETS * std::mem::size_of::<u64>() + std::mem::size_of::<Self>()
+        self.counts.bytes() + std::mem::size_of::<Self>()
     }
 }
 
@@ -292,6 +369,52 @@ mod tests {
         // the top rank returns the exact maximum.
         assert_eq!(s.percentile(0.5), Some(1));
         assert_eq!(s.percentile(1.0), Some(u64::MAX));
+    }
+
+    #[test]
+    fn merge_widens_counts_without_saturating() {
+        let samples = [5u64, 900, 900, 1_000_000];
+        let mut small = QuantileSketch::new();
+        for &v in &samples {
+            small.observe(v);
+        }
+        // 32 self-merges scale every count by 2^32: the 900 bucket
+        // (2^33 samples) no longer fits a u16.
+        let mut big = small.clone();
+        for _ in 0..32 {
+            let copy = big.clone();
+            big.merge(&copy);
+        }
+        assert!(matches!(big.counts, Counts::Wide(_)), "counts widened");
+        assert!(matches!(small.counts, Counts::Narrow(_)));
+        assert!(big.memory_bytes() > small.memory_bytes());
+        assert_eq!(big.count(), 4 << 32);
+        assert_eq!(big.sum(), small.sum() << 32);
+        let bucket = QuantileSketch::bucket_index(900);
+        assert_eq!(big.counts.get(bucket), 2 << 32);
+        // Same distribution, so the same quantiles (the top rank is the
+        // exact maximum in both).
+        for p in [0.0, 0.25, 0.5, 0.75, 1.0] {
+            assert_eq!(big.percentile(p), small.percentile(p), "p={p}");
+        }
+        // Wide into narrow and narrow into wide agree, and equality looks
+        // at count values, not storage width.
+        let mut wide_first = big.clone();
+        wide_first.merge(&small);
+        let mut narrow_first = small.clone();
+        narrow_first.merge(&big);
+        assert!(matches!(narrow_first.counts, Counts::Wide(_)));
+        assert_eq!(wide_first, narrow_first);
+        assert_eq!(wide_first.count(), (4 << 32) + 4);
+        let mut widened = small.clone();
+        widened.counts.widen();
+        assert_eq!(widened, small);
+        // A single bucket crossing u16::MAX widens through `add` too.
+        let mut edge = QuantileSketch::new();
+        edge.counts.add(bucket, u64::from(u16::MAX));
+        assert!(matches!(edge.counts, Counts::Narrow(_)));
+        edge.counts.add(bucket, 1);
+        assert_eq!(edge.counts.get(bucket), 1 << 16);
     }
 
     #[test]

@@ -255,6 +255,10 @@ impl WindowSeries {
         self.cd_acc = 0.0;
     }
 
+    // Window rotation is rare next to the per-launch feeds below, which
+    // are forced inline into the serving loop; rotation stays out of line.
+    #[cold]
+    #[inline(never)]
     fn close(&mut self, emit: &mut impl FnMut(&WindowRow)) {
         // Swap the fresh row in and move the closed one out — a clone here
         // would bill every window rotation for a redundant 160-byte copy.
@@ -274,6 +278,7 @@ impl WindowSeries {
     /// closing (and emitting) every window that ends at or before `t`.
     /// All-empty windows between the current one and `t`'s are skipped
     /// without a row.
+    #[inline(always)]
     pub fn seek(&mut self, t: SimTime, emit: &mut impl FnMut(&WindowRow)) {
         // Hot path: the instant falls in the current window — one compare,
         // no division. The serving engine seeks several times per launch.
@@ -295,6 +300,7 @@ impl WindowSeries {
     /// Records one launch span `[start, end)` with the given pipeline
     /// utilizations, apportioning busy time across every window the span
     /// overlaps and counting the launch in the window containing `start`.
+    #[inline(always)]
     pub fn on_span(
         &mut self,
         start: SimTime,
@@ -352,6 +358,7 @@ impl WindowSeries {
     }
 
     /// Records the Equation 8/9 QoS headroom at a scheduling point.
+    #[inline(always)]
     pub fn observe_headroom(
         &mut self,
         t: SimTime,

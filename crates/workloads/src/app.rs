@@ -9,6 +9,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use tacker_kernel::{Bindings, KernelDef, KernelKind, KernelLaunch};
+use tacker_sim::{Device, KernelRun, SimError};
 
 /// The paper's BE-application classification (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,6 +53,23 @@ impl WorkloadKernel {
     /// The launch for this invocation.
     pub fn launch(&self) -> KernelLaunch {
         KernelLaunch::new(Arc::clone(&self.def), self.grid, self.bindings.clone())
+    }
+
+    /// The device-cache key of this invocation: bit-equal to
+    /// `self.launch().fingerprint()`, without building the launch.
+    pub fn fingerprint(&self) -> u64 {
+        KernelLaunch::fingerprint_of(&self.def, self.grid, &self.bindings)
+    }
+
+    /// Runs this invocation on `device`, memoized: a warm call is one
+    /// fingerprint hash plus one cache probe, and the launch is built
+    /// (and lowered) on a cache miss only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates plan construction and simulation errors.
+    pub fn run_on(&self, device: &Device) -> Result<Arc<KernelRun>, SimError> {
+        device.run_keyed(self.fingerprint(), &self.def, || self.launch())
     }
 
     /// Whether this kernel runs on Tensor Cores.

@@ -77,8 +77,7 @@ pub fn shared_gemm() -> std::sync::Arc<tacker_kernel::KernelDef> {
 }
 
 fn measure(device: &Device, wk: &WorkloadKernel) -> SimTime {
-    device
-        .run_launch(&wk.launch())
+    wk.run_on(device)
         .map(|r| r.duration)
         .unwrap_or(SimTime::from_millis(1_000))
 }
