@@ -1,13 +1,13 @@
 //! Criterion benches for the §VIII-I overhead claims: online scheduling
-//! decision latency with and without fusion, plus the tracing-layer
-//! overhead gate (disabled tracing must stay within 2% of the untraced
-//! entry point).
+//! decision latency with and without fusion, one warm decision that
+//! accepts a fusion, plus the tracing-layer overhead gate (disabled
+//! tracing must stay within 2% of the untraced entry point).
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tacker::library::FusionLibrary;
-use tacker::manager::{KernelManager, Policy};
+use tacker::manager::{Decision, Head, KernelManager, Policy};
 use tacker::profile::KernelProfiler;
 use tacker::serve::ColocationRun;
 use tacker::{ExperimentConfig, RunReport};
@@ -41,26 +41,63 @@ fn setup(
         .collect();
     let hr = SimTime::from_millis(20);
     manager
-        .decide(Some(&lc), hr, hr, &be_heads, false)
+        .decide(Some(Head::new(&lc)), hr, hr, &heads(&be_heads), false)
         .expect("warmup");
     (manager, lc, be_heads)
+}
+
+/// Resolves a run's BE head kernels once, as the serving engine does.
+fn heads(kernels: &[Option<tacker_workloads::WorkloadKernel>]) -> Vec<Option<Head<'_>>> {
+    kernels.iter().map(|k| k.as_ref().map(Head::new)).collect()
 }
 
 fn bench_decisions(c: &mut Criterion) {
     let hr = SimTime::from_millis(20);
     let (tacker, lc, be) = setup(Policy::Tacker);
+    let (lc_head, be_heads) = (Head::new(&lc), heads(&be));
     c.bench_function("online_fuse_decision_50_pairs", |b| {
         b.iter(|| {
             tacker
-                .decide(Some(&lc), hr, hr, &be, false)
+                .decide(Some(lc_head), hr, hr, &be_heads, false)
                 .expect("decide")
         })
     });
     let (baymax, lc, be) = setup(Policy::Baymax);
+    let (lc_head, be_heads) = (Head::new(&lc), heads(&be));
     c.bench_function("static_schedule_decision_50_kernels", |b| {
         b.iter(|| {
             baymax
-                .decide(Some(&lc), hr, hr, &be, false)
+                .decide(Some(lc_head), hr, hr, &be_heads, false)
+                .expect("decide")
+        })
+    });
+    // One warm serving-loop decision that accepts a fusion: the pair memo
+    // and the profiler history are hot, so this is the per-kernel-boundary
+    // cost a colocated run pays (a Tensor GEMM head beside a cutcp head).
+    let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+    let profiler = Arc::new(KernelProfiler::new(device));
+    let library = Arc::new(FusionLibrary::new(Arc::clone(&profiler)));
+    let tacker = KernelManager::new(profiler, library, Policy::Tacker);
+    let lc = {
+        let def = tacker_workloads::dnn::compile::shared_gemm();
+        gemm_workload(&def, GemmShape::new(2048, 2048, 1024))
+    };
+    let be = Benchmark::Cutcp.task()[0].clone();
+    let (lc_head, be_heads) = (Head::new(&lc), [Some(Head::new(&be))]);
+    // The first call profiles and prepares the pair.
+    let warm = (0..2)
+        .map(|_| tacker.decide(Some(lc_head), hr, hr, &be_heads, false))
+        .last()
+        .expect("two warm-up calls")
+        .expect("warmup");
+    assert!(
+        matches!(warm, Decision::RunFused { .. }),
+        "the warm case must accept a fusion, got {warm:?}"
+    );
+    c.bench_function("decide_accepted_fusion_warm", |b| {
+        b.iter(|| {
+            tacker
+                .decide(Some(lc_head), hr, hr, &be_heads, false)
                 .expect("decide")
         })
     });

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tacker::library::FusionLibrary;
-use tacker::manager::{KernelManager, Policy};
+use tacker::manager::{Head, KernelManager, Policy};
 use tacker::profile::KernelProfiler;
 use tacker_bench::rtx2080ti;
 use tacker_fuser::{enumerate_configs, fuse_flexible, to_ptb, PackPriority};
@@ -35,11 +35,15 @@ fn main() {
         })
         .collect();
 
+    // Heads are resolved once per run, as the serving engine does.
+    let lc_head = Head::new(&lc);
+    let heads: Vec<Option<Head<'_>>> = be_heads.iter().map(|k| k.as_ref().map(Head::new)).collect();
+
     // Warm the models and the library (offline phase).
     let manager = KernelManager::new(Arc::clone(&profiler), Arc::clone(&library), Policy::Tacker);
     let headroom = SimTime::from_millis(20);
     manager
-        .decide(Some(&lc), headroom, headroom, &be_heads, false)
+        .decide(Some(lc_head), headroom, headroom, &heads, false)
         .expect("warmup");
 
     println!("# §VIII-I overheads (wall-clock of this implementation)");
@@ -59,7 +63,7 @@ fn main() {
         20,
         Box::new(|| {
             let _ = manager
-                .decide(Some(&lc), headroom, headroom, &be_heads, false)
+                .decide(Some(lc_head), headroom, headroom, &heads, false)
                 .expect("decide");
         }),
     );
@@ -71,7 +75,7 @@ fn main() {
         20,
         Box::new(|| {
             let _ = baymax
-                .decide(Some(&lc), headroom, headroom, &be_heads, false)
+                .decide(Some(lc_head), headroom, headroom, &heads, false)
                 .expect("decide");
         }),
     );

@@ -35,8 +35,7 @@
 //! budget shrinks by the same amount, so a fleet QoS violation is exactly
 //! "dispatch latency + device latency exceeds the original target".
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use tacker_kernel::{SimTime, StableHasher};
 use tacker_sim::core::{Event, EventHandler, Schedule, Simulation, SimulationContext};
@@ -573,16 +572,20 @@ impl FleetRun {
         }
 
         // Per-(device, service) zero-fault query service times, measured
-        // on one scratch device per distinct GPU profile so the real
-        // fleet devices start cold (cache-affinity routing then mirrors
-        // actual first-touch warmth). Scratch measurements are memoized
-        // simulations — pure and deterministic per profile.
-        let mut scratch: HashMap<String, Arc<Device>> = HashMap::new();
+        // on the process-wide device of each GPU profile
+        // ([`profile_device`]). Its runs are memoized simulations — pure
+        // and deterministic per profile — so every fleet device below forks
+        // that cache instead of simulating the same kernels again, and a
+        // later fleet run in the same process starts warm. Cache-affinity
+        // routing models warmth in the dispatcher (its `warm` sets), not
+        // through these host-side simulation caches.
+        let profiles: Vec<Arc<Device>> = self
+            .nodes
+            .iter()
+            .map(|node| profile_device(&node.spec))
+            .collect();
         let mut service_time = vec![vec![SimTime::ZERO; services.len()]; self.nodes.len()];
-        for (d, node) in self.nodes.iter().enumerate() {
-            let dev = scratch
-                .entry(node.spec.name.clone())
-                .or_insert_with(|| Arc::new(Device::new(node.spec.clone())));
+        for (d, dev) in profiles.iter().enumerate() {
             for (s, svc) in services.iter().enumerate() {
                 let mut total = SimTime::ZERO;
                 for k in svc.lc.query_kernels() {
@@ -656,7 +659,7 @@ impl FleetRun {
                 services: dev_services,
                 streams: dev_streams,
                 be: node.be.clone(),
-                device: Arc::new(Device::new(node.spec.clone())),
+                device: Arc::new(profiles[d].fork()),
             }));
         }
 
@@ -932,6 +935,25 @@ fn merged_arrivals(streams: &[Vec<SimTime>]) -> Vec<(SimTime, usize, usize)> {
         .collect();
     merged.sort();
     merged
+}
+
+/// The process-wide device of a GPU profile: one memoized simulation
+/// cache per distinct spec (compared in full, not by name), shared by
+/// every fleet run in the process. Fleet runs measure service times on it
+/// and fork their node devices from it, so each kernel is simulated once
+/// per profile rather than once per node device per run.
+fn profile_device(spec: &GpuSpec) -> Arc<Device> {
+    static DEVICES: OnceLock<Mutex<Vec<Arc<Device>>>> = OnceLock::new();
+    let mut devices = DEVICES
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("profile devices poisoned");
+    if let Some(dev) = devices.iter().find(|d| d.spec() == spec) {
+        return Arc::clone(dev);
+    }
+    let dev = Arc::new(Device::new(spec.clone()));
+    devices.push(Arc::clone(&dev));
+    dev
 }
 
 #[cfg(test)]

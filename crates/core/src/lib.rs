@@ -84,7 +84,7 @@ pub use fleet::{
 };
 pub use guard::{GuardConfig, GuardLevel, QosGuard};
 pub use library::{FusionLibrary, PairEntry};
-pub use manager::{Decision, KernelManager, Policy};
+pub use manager::{Decision, Head, KernelManager, Policy};
 pub use metrics::{LatencyStats, DEFAULT_EXACT_LIMIT};
 pub use profile::{work_feature, KernelProfiler};
 pub use report::{GuardAudit, RunReport, ServiceReport, ViolationRecord};

@@ -203,7 +203,8 @@ impl FusionLibrary {
     /// given launches as the profiling workload.
     ///
     /// Returns `None` when the pair is not fusable or the offline
-    /// measurement decided sequential execution is faster.
+    /// measurement decided sequential execution is faster. Once prepared,
+    /// a pair's result never changes: later calls return the same entry.
     ///
     /// # Errors
     ///
@@ -220,11 +221,16 @@ impl FusionLibrary {
         }
         let entry = self.build_entry(tc, cd)?;
         let entry = entry.map(|e| Arc::new(Mutex::new(e)));
-        self.entries
+        // First insert wins: a racing preparer of the same pair adopts the
+        // resident entry, so every caller holds the one entry of a pair
+        // (the manager memoizes it per pair for the rest of a run).
+        Ok(self
+            .entries
             .lock()
             .expect("entries poisoned")
-            .insert(key, entry.clone());
-        Ok(entry)
+            .entry(key)
+            .or_insert(entry)
+            .clone())
     }
 
     fn build_entry(

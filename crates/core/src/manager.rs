@@ -16,11 +16,21 @@
 //! When multiple LC queries are active, earlier queries complete first and
 //! only the last-arrived one participates in fusion (§VII-B-2); the server
 //! enforces this by passing `multiple_lc = true`.
+//!
+//! Heads arrive resolved ([`Head`]: a kernel plus its launch fingerprint,
+//! hashed once per run), and the manager memoizes what never changes for
+//! an (LC, BE) head pair within a run in a [`PairSlot`]: the orientation,
+//! the library entry and the fused launch. Everything that does change —
+//! strikes, predictions, the fused model, headroom, the guard — is read
+//! fresh at every decision.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tacker_kernel::{KernelLaunch, SimTime};
+use tacker_kernel::{FpBuild, KernelLaunch, SimTime};
+use tacker_sim::{Device, KernelRun, SimError};
 use tacker_trace::{DecisionKind, FusionRejectReason, NoopSink, TraceEvent, TraceSink};
 use tacker_workloads::WorkloadKernel;
 
@@ -59,6 +69,44 @@ impl Policy {
     }
 }
 
+/// A scheduling head: a workload kernel with its launch fingerprint.
+///
+/// [`Head::new`] is the only constructor, so `fp() ==
+/// kernel().fingerprint()` holds by construction. A run resolves every
+/// LC query kernel and BE task kernel into a head once, then decides,
+/// predicts and launches by the stored fingerprint without re-hashing.
+#[derive(Debug, Clone, Copy)]
+pub struct Head<'a> {
+    wk: &'a WorkloadKernel,
+    fp: u64,
+}
+
+impl<'a> Head<'a> {
+    /// Resolves `wk`: hashes its launch fingerprint once.
+    pub fn new(wk: &'a WorkloadKernel) -> Head<'a> {
+        Head {
+            wk,
+            fp: wk.fingerprint(),
+        }
+    }
+
+    /// The workload kernel.
+    pub fn kernel(self) -> &'a WorkloadKernel {
+        self.wk
+    }
+
+    /// The kernel's launch fingerprint (its device-cache key).
+    pub fn fp(self) -> u64 {
+        self.fp
+    }
+
+    /// Runs the kernel on `device` keyed by the stored fingerprint: a warm
+    /// launch is one cache probe, and the launch is built on a miss only.
+    pub(crate) fn run(self, device: &Device) -> Result<Arc<KernelRun>, SimError> {
+        device.run_keyed(self.fp, &self.wk.def, || self.wk.launch())
+    }
+}
+
 /// What the manager decided to launch.
 #[derive(Debug)]
 pub enum Decision {
@@ -71,8 +119,10 @@ pub enum Decision {
     RunFused {
         /// Index of the chosen BE application.
         be_index: usize,
-        /// The fused kernel launch.
-        launch: KernelLaunch,
+        /// The fused kernel launch, shared with the manager's pair memo.
+        launch: Arc<KernelLaunch>,
+        /// `launch.fingerprint()`, computed once per pair.
+        fp: u64,
         /// The library entry (for online model refresh).
         entry: Arc<Mutex<PairEntry>>,
         /// Predicted fused duration.
@@ -95,6 +145,71 @@ pub enum Decision {
     Idle,
 }
 
+/// What a run resolved for one (LC head, BE head) pair, keyed by the two
+/// fingerprints. Orientation, the library's answer and the fused launch
+/// are functions of the pair's content, so they are fixed for a run; a
+/// slot is built by [`PairSlot::resolve`] at the pair's first evaluation
+/// and its fused launch at the pair's first Equation 8 accept.
+enum PairSlot {
+    /// Both kernels run on the same core type.
+    NoOrientation,
+    /// The library declined the pair (not fusable, or sequential wins).
+    NotPrepared,
+    /// A prepared pair.
+    Prepared {
+        /// Whether the LC head is the Tensor component.
+        lc_is_tc: bool,
+        /// The library entry; its strikes and model change online and are
+        /// read under its lock at every decision.
+        entry: Arc<Mutex<PairEntry>>,
+        /// The fused launch and its fingerprint, built on first accept.
+        launch: Option<(Arc<KernelLaunch>, u64)>,
+    },
+}
+
+impl PairSlot {
+    /// Orients the pair and asks the library for its entry (preparing it
+    /// on first sight).
+    fn resolve(
+        library: &FusionLibrary,
+        lc: Head<'_>,
+        be: Head<'_>,
+    ) -> Result<PairSlot, TackerError> {
+        let Some((tc, cd)) = FusionLibrary::orient(lc.wk, be.wk) else {
+            return Ok(PairSlot::NoOrientation);
+        };
+        let lc_is_tc = std::ptr::eq(tc, lc.wk);
+        Ok(match library.prepare(tc, cd)? {
+            None => PairSlot::NotPrepared,
+            Some(entry) => PairSlot::Prepared {
+                lc_is_tc,
+                entry,
+                launch: None,
+            },
+        })
+    }
+
+    /// The prepared pair's fused launch for the oriented heads `(tc, cd)`,
+    /// built (and fingerprinted) on the first call only.
+    fn fused_launch(
+        slot: &mut Option<(Arc<KernelLaunch>, u64)>,
+        entry: &Mutex<PairEntry>,
+        tc: &WorkloadKernel,
+        cd: &WorkloadKernel,
+    ) -> (Arc<KernelLaunch>, u64) {
+        let (launch, fp) = slot.get_or_insert_with(|| {
+            let e = entry.lock().expect("entry poisoned");
+            let launch = e.fused.launch(tc.grid, cd.grid, &tc.bindings, &cd.bindings);
+            let fp = launch.fingerprint();
+            (Arc::new(launch), fp)
+        });
+        (Arc::clone(launch), *fp)
+    }
+}
+
+/// The per-run pair memo (see [`PairSlot`]).
+type PairSlots = HashMap<(u64, u64), PairSlot, FpBuild>;
+
 /// The online kernel manager.
 pub struct KernelManager {
     profiler: Arc<KernelProfiler>,
@@ -112,6 +227,8 @@ pub struct KernelManager {
     /// policy may do and its margin shrinks the headroom seen by
     /// [`KernelManager::decide`].
     guard: Option<Arc<QosGuard>>,
+    /// Memoized pair resolutions, keyed by `(lc.fp, be.fp)`.
+    pairs: Mutex<PairSlots>,
 }
 
 impl KernelManager {
@@ -142,6 +259,7 @@ impl KernelManager {
             tracing,
             now_nanos: AtomicU64::new(0),
             guard: None,
+            pairs: Mutex::new(PairSlots::default()),
         }
     }
 
@@ -196,16 +314,16 @@ impl KernelManager {
     /// rejected (LC, BE) candidate pair.
     fn reject_fusion(
         &self,
-        lc: &WorkloadKernel,
-        be: &WorkloadKernel,
+        lc: Head<'_>,
+        be: Head<'_>,
         reason: FusionRejectReason,
         x_tc: Option<SimTime>,
         x_cd: Option<SimTime>,
         t_fuse: Option<SimTime>,
     ) {
         self.sink.record(TraceEvent::FusionRejected {
-            lc: lc.def.name_shared(),
-            be: be.def.name_shared(),
+            lc: lc.wk.def.name_shared(),
+            be: be.wk.def.name_shared(),
             reason,
             x_tc,
             x_cd,
@@ -218,38 +336,49 @@ impl KernelManager {
     /// Returns `(decision, gain)` when Equation 8 is satisfied.
     fn try_fuse(
         &self,
-        lc: &WorkloadKernel,
+        slots: &mut PairSlots,
+        lc: Head<'_>,
         be_index: usize,
-        be: &WorkloadKernel,
+        be: Head<'_>,
         headroom: SimTime,
     ) -> Result<Option<(Decision, SimTime)>, TackerError> {
-        let Some((tc, cd)) = FusionLibrary::orient(lc, be) else {
-            if self.tracing {
-                self.reject_fusion(lc, be, FusionRejectReason::NoOrientation, None, None, None);
-            }
-            return Ok(None);
+        let slot = match slots.entry((lc.fp, be.fp)) {
+            Entry::Occupied(o) => o.into_mut(),
+            Entry::Vacant(v) => v.insert(PairSlot::resolve(&self.library, lc, be)?),
         };
-        let Some(entry) = self.library.prepare(tc, cd)? else {
-            if self.tracing {
-                self.reject_fusion(lc, be, FusionRejectReason::NotPrepared, None, None, None);
+        let (lc_is_tc, entry, launch) = match slot {
+            PairSlot::NoOrientation => {
+                if self.tracing {
+                    self.reject_fusion(lc, be, FusionRejectReason::NoOrientation, None, None, None);
+                }
+                return Ok(None);
             }
-            return Ok(None);
+            PairSlot::NotPrepared => {
+                if self.tracing {
+                    self.reject_fusion(lc, be, FusionRejectReason::NotPrepared, None, None, None);
+                }
+                return Ok(None);
+            }
+            PairSlot::Prepared {
+                lc_is_tc,
+                entry,
+                launch,
+            } => (*lc_is_tc, &*entry, launch),
         };
-        if !entry.lock().expect("entry poisoned").eligible() {
-            if self.tracing {
-                self.reject_fusion(lc, be, FusionRejectReason::Blacklisted, None, None, None);
+        let (tc, cd) = if lc_is_tc { (lc, be) } else { (be, lc) };
+        let (x_tc, x_cd, t_fuse) = {
+            let e = entry.lock().expect("entry poisoned");
+            if !e.eligible() {
+                if self.tracing {
+                    self.reject_fusion(lc, be, FusionRejectReason::Blacklisted, None, None, None);
+                }
+                return Ok(None);
             }
-            return Ok(None);
-        }
-        let x_tc = self.profiler.predict(tc)?;
-        let x_cd = self.profiler.predict(cd)?;
-        let t_lc = if std::ptr::eq(tc, lc) { x_tc } else { x_cd };
-        let t_be = if std::ptr::eq(tc, lc) { x_cd } else { x_tc };
-        let t_fuse = entry
-            .lock()
-            .expect("entry poisoned")
-            .model
-            .predict(x_tc, x_cd);
+            let x_tc = self.profiler.predict_keyed(tc.wk, tc.fp)?;
+            let x_cd = self.profiler.predict_keyed(cd.wk, cd.fp)?;
+            (x_tc, x_cd, e.model.predict(x_tc, x_cd))
+        };
+        let (t_lc, t_be) = if lc_is_tc { (x_tc, x_cd) } else { (x_cd, x_tc) };
         // Equation 8 (with a small benefit margin absorbing model noise).
         let parallel_wins = (x_tc + x_cd).mul_f64(0.95) > t_fuse;
         let extra = t_fuse.saturating_sub(t_lc);
@@ -278,15 +407,13 @@ impl KernelManager {
             }
             return Ok(None);
         }
-        let launch = {
-            let e = entry.lock().expect("entry poisoned");
-            e.fused.launch(tc.grid, cd.grid, &tc.bindings, &cd.bindings)
-        };
+        let (launch, fp) = PairSlot::fused_launch(launch, entry, tc.wk, cd.wk);
         Ok(Some((
             Decision::RunFused {
                 be_index,
                 launch,
-                entry,
+                fp,
+                entry: Arc::clone(entry),
                 predicted: t_fuse,
                 x_tc,
                 x_cd,
@@ -310,10 +437,10 @@ impl KernelManager {
     /// Propagates profiling/fusion errors.
     pub fn decide(
         &self,
-        lc_head: Option<&WorkloadKernel>,
+        lc_head: Option<Head<'_>>,
         headroom: SimTime,
         reorder_headroom: SimTime,
-        be_heads: &[Option<WorkloadKernel>],
+        be_heads: &[Option<Head<'_>>],
         multiple_lc: bool,
     ) -> Result<Decision, TackerError> {
         // The guard's inflated margin shrinks the headroom the decision
@@ -338,21 +465,22 @@ impl KernelManager {
 
     fn decide_inner(
         &self,
-        lc_head: Option<&WorkloadKernel>,
+        lc_head: Option<Head<'_>>,
         headroom: SimTime,
         reorder_headroom: SimTime,
-        be_heads: &[Option<WorkloadKernel>],
+        be_heads: &[Option<Head<'_>>],
         multiple_lc: bool,
     ) -> Result<(Decision, Option<SimTime>), TackerError> {
         match lc_head {
             Some(lc) => {
-                let lc_predicted = self.profiler.predict(lc)?;
+                let lc_predicted = self.profiler.predict_keyed(lc.wk, lc.fp)?;
                 // 1. Fusion with the highest-gain BE partner.
                 if self.fusion_allowed() && !multiple_lc {
+                    let mut slots = self.pairs.lock().expect("pair memo poisoned");
                     let mut best: Option<(Decision, SimTime)> = None;
                     for (i, be) in be_heads.iter().enumerate() {
-                        let Some(be) = be else { continue };
-                        if let Some((d, gain)) = self.try_fuse(lc, i, be, headroom)? {
+                        let Some(be) = *be else { continue };
+                        if let Some((d, gain)) = self.try_fuse(&mut slots, lc, i, be, headroom)? {
                             if best.as_ref().is_none_or(|(_, g)| gain > *g) {
                                 best = Some((d, gain));
                             }
@@ -366,7 +494,7 @@ impl KernelManager {
                 if self.reorder_allowed() {
                     for (i, be) in be_heads.iter().enumerate() {
                         let Some(be) = be else { continue };
-                        let predicted = self.profiler.predict(be)?;
+                        let predicted = self.profiler.predict_keyed(be.wk, be.fp)?;
                         if predicted < reorder_headroom {
                             return Ok((
                                 Decision::RunBe {
@@ -391,7 +519,7 @@ impl KernelManager {
                 if self.best_effort_allowed() {
                     for (i, be) in be_heads.iter().enumerate() {
                         if let Some(be) = be {
-                            let predicted = self.profiler.predict(be)?;
+                            let predicted = self.profiler.predict_keyed(be.wk, be.fp)?;
                             return Ok((
                                 Decision::RunBe {
                                     be_index: i,
@@ -412,16 +540,16 @@ impl KernelManager {
         &self,
         decision: &Decision,
         gain: Option<SimTime>,
-        lc_head: Option<&WorkloadKernel>,
+        lc_head: Option<Head<'_>>,
         headroom: SimTime,
         reorder_headroom: SimTime,
-        be_heads: &[Option<WorkloadKernel>],
+        be_heads: &[Option<Head<'_>>],
     ) {
         let be_name = |i: usize| {
             be_heads
                 .get(i)
                 .and_then(|b| b.as_ref())
-                .map(|b| b.def.name_shared())
+                .map(|b| b.wk.def.name_shared())
                 .unwrap_or_else(|| "".into())
         };
         let (kind, kernel, predicted, x_tc, x_cd, t_lc) = match decision {
@@ -454,7 +582,7 @@ impl KernelManager {
             Decision::RunLc { predicted } => (
                 DecisionKind::RunLc,
                 lc_head
-                    .map(|k| k.def.name_shared())
+                    .map(|k| k.wk.def.name_shared())
                     .unwrap_or_else(|| "".into()),
                 *predicted,
                 None,
@@ -527,10 +655,10 @@ mod tests {
         let be = Benchmark::Cutcp.task()[0].clone();
         let d = m
             .decide(
-                Some(&lc),
+                Some(Head::new(&lc)),
                 SimTime::from_millis(20),
                 SimTime::from_millis(20),
-                &[Some(be)],
+                &[Some(Head::new(&be))],
                 false,
             )
             .unwrap();
@@ -545,7 +673,13 @@ mod tests {
         // Equation 8 is strict: zero headroom blocks fusion even when the
         // model predicts the fused kernel costs (almost) nothing extra.
         let d = m
-            .decide(Some(&lc), SimTime::ZERO, SimTime::ZERO, &[Some(be)], false)
+            .decide(
+                Some(Head::new(&lc)),
+                SimTime::ZERO,
+                SimTime::ZERO,
+                &[Some(Head::new(&be))],
+                false,
+            )
             .unwrap();
         assert!(matches!(d, Decision::RunLc { .. }), "got {d:?}");
     }
@@ -557,10 +691,10 @@ mod tests {
         let be = Benchmark::Cutcp.task()[0].clone();
         let d = m
             .decide(
-                Some(&lc),
+                Some(Head::new(&lc)),
                 SimTime::from_millis(20),
                 SimTime::from_millis(20),
-                &[Some(be)],
+                &[Some(Head::new(&be))],
                 false,
             )
             .unwrap();
@@ -575,7 +709,15 @@ mod tests {
         let be = Benchmark::Lbm.task()[0].clone();
         let lc_cd = Benchmark::Mriq.task()[0].clone();
         let hr = SimTime::from_millis(20);
-        let d = m.decide(Some(&lc_cd), hr, hr, &[Some(be)], false).unwrap();
+        let d = m
+            .decide(
+                Some(Head::new(&lc_cd)),
+                hr,
+                hr,
+                &[Some(Head::new(&be))],
+                false,
+            )
+            .unwrap();
         // CD LC head + CD BE head: fusion impossible, reorder disabled →
         // the LC kernel runs directly.
         assert!(matches!(d, Decision::RunLc { .. }), "got {d:?}");
@@ -589,10 +731,10 @@ mod tests {
         let be = Benchmark::Cutcp.task()[0].clone();
         let d = m
             .decide(
-                Some(&lc),
+                Some(Head::new(&lc)),
                 SimTime::from_millis(20),
                 SimTime::from_millis(20),
-                &[Some(be)],
+                &[Some(Head::new(&be))],
                 true,
             )
             .unwrap();
@@ -618,10 +760,10 @@ mod tests {
         let be = Benchmark::Cutcp.task()[0].clone();
         let d = m
             .decide(
-                Some(&lc),
+                Some(Head::new(&lc)),
                 SimTime::from_millis(20),
                 SimTime::from_millis(20),
-                &[Some(be)],
+                &[Some(Head::new(&be))],
                 false,
             )
             .unwrap();
@@ -644,7 +786,13 @@ mod tests {
         let m = manager(Policy::Tacker);
         let be = Benchmark::Lbm.task()[0].clone();
         let d = m
-            .decide(None, SimTime::ZERO, SimTime::ZERO, &[Some(be)], false)
+            .decide(
+                None,
+                SimTime::ZERO,
+                SimTime::ZERO,
+                &[Some(Head::new(&be))],
+                false,
+            )
             .unwrap();
         assert!(matches!(d, Decision::RunBe { be_index: 0, .. }));
     }
@@ -654,7 +802,13 @@ mod tests {
         let m = manager(Policy::LcOnly);
         let be = Benchmark::Lbm.task()[0].clone();
         let d = m
-            .decide(None, SimTime::ZERO, SimTime::ZERO, &[Some(be)], false)
+            .decide(
+                None,
+                SimTime::ZERO,
+                SimTime::ZERO,
+                &[Some(Head::new(&be))],
+                false,
+            )
             .unwrap();
         assert!(matches!(d, Decision::Idle));
     }

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tacker_kernel::{KernelId, SimTime};
+use tacker_kernel::{FpBuild, KernelId, SimTime};
 use tacker_predictor::KernelDurationModel;
 use tacker_sim::Device;
 use tacker_trace::{NoopSink, TraceEvent, TraceSink};
@@ -46,8 +46,8 @@ pub struct KernelProfiler {
     models: Mutex<HashMap<KernelId, KernelDurationModel>>,
     /// Exact durations of previously seen launches ("historical data",
     /// §VI-C): recurring kernels predict from history; unseen launches fall
-    /// back to the LR model.
-    history: Mutex<HashMap<u64, SimTime>>,
+    /// back to the LR model. Keyed by launch fingerprint (identity-hashed).
+    history: Mutex<HashMap<u64, SimTime, FpBuild>>,
     /// When set, [`KernelProfiler::predict`] skips the exact launch
     /// history and answers from the LR models only — the serving runtime's
     /// predictor-outage fault (history keeps recording underneath, so
@@ -79,7 +79,7 @@ impl KernelProfiler {
         KernelProfiler {
             device,
             models: Mutex::new(HashMap::new()),
-            history: Mutex::new(HashMap::new()),
+            history: Mutex::new(HashMap::default()),
             history_bypass: AtomicBool::new(false),
             sink,
             tracing,
@@ -103,7 +103,18 @@ impl KernelProfiler {
     ///
     /// Propagates simulation errors.
     pub fn measure(&self, wk: &WorkloadKernel) -> Result<SimTime, TackerError> {
-        let fp = wk.fingerprint();
+        self.measure_keyed(wk, wk.fingerprint())
+    }
+
+    /// [`KernelProfiler::measure`] with `wk`'s fingerprint already known:
+    /// `fp` must equal `wk.fingerprint()` (a [`crate::manager::Head`]
+    /// carries that pair).
+    pub(crate) fn measure_keyed(
+        &self,
+        wk: &WorkloadKernel,
+        fp: u64,
+    ) -> Result<SimTime, TackerError> {
+        debug_assert_eq!(fp, wk.fingerprint(), "measure_keyed: key/kernel mismatch");
         let duration = self.device.run_keyed(fp, &wk.def, || wk.launch())?.duration;
         self.history
             .lock()
@@ -164,13 +175,20 @@ impl KernelProfiler {
     ///
     /// Propagates profiling errors.
     pub fn predict(&self, wk: &WorkloadKernel) -> Result<SimTime, TackerError> {
+        self.predict_keyed(wk, wk.fingerprint())
+    }
+
+    /// [`KernelProfiler::predict`] with `wk`'s fingerprint already known:
+    /// `fp` must equal `wk.fingerprint()`. A history hit is one mutex and
+    /// one identity-hashed probe.
+    pub(crate) fn predict_keyed(
+        &self,
+        wk: &WorkloadKernel,
+        fp: u64,
+    ) -> Result<SimTime, TackerError> {
+        debug_assert_eq!(fp, wk.fingerprint(), "predict_keyed: key/kernel mismatch");
         if !self.history_bypass.load(Ordering::Relaxed) {
-            if let Some(seen) = self
-                .history
-                .lock()
-                .expect("history poisoned")
-                .get(&wk.fingerprint())
-            {
+            if let Some(seen) = self.history.lock().expect("history poisoned").get(&fp) {
                 return Ok(*seen);
             }
         }

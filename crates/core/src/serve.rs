@@ -32,14 +32,14 @@ use tacker_sim::queue::{HeapQueue, SimQueue};
 use tacker_sim::{scale_run, Device, TimelineRecorder};
 use tacker_trace::timeseries::{SpanKind, WindowRow, WindowSeries};
 use tacker_trace::{MetricsRegistry, NoopSink, TraceEvent, TraceSink};
-use tacker_workloads::{BeApp, LcService, WorkloadKernel};
+use tacker_workloads::{BeApp, LcService};
 
 use crate::config::ExperimentConfig;
 use crate::error::TackerError;
 use crate::fault::FaultPlan;
 use crate::guard::{GuardConfig, GuardTransition, QosGuard};
 use crate::library::FusionLibrary;
-use crate::manager::{Decision, KernelManager, Policy};
+use crate::manager::{Decision, Head, KernelManager, Policy};
 use crate::metrics::{LatencyStats, DEFAULT_EXACT_LIMIT};
 use crate::profile::KernelProfiler;
 use crate::report::{GuardAudit, RunReport, ServiceReport, ViolationRecord};
@@ -451,22 +451,23 @@ struct ActiveQuery {
     faults_at_admission: [u64; 4],
 }
 
-struct BeState {
-    app: BeApp,
+struct BeState<'a> {
+    /// The app's task kernels, resolved once per run.
+    task: &'a [Head<'a>],
     /// Position of the head kernel within the current task iteration.
     next: usize,
 }
 
-impl BeState {
-    fn head(&self) -> Option<&WorkloadKernel> {
-        self.app.task_kernels().get(self.next)
+impl<'a> BeState<'a> {
+    fn head(&self) -> Option<Head<'a>> {
+        self.task.get(self.next).copied()
     }
 
     /// Retires the head; the endless task stream wraps to the next
     /// iteration after its last kernel.
     fn pop(&mut self) {
         self.next += 1;
-        if self.next == self.app.task_kernels().len() {
+        if self.next == self.task.len() {
             self.next = 0;
         }
     }
@@ -474,10 +475,10 @@ impl BeState {
 
 /// Retires BE app `i`'s head kernel and refreshes the manager's view of
 /// the app's head (a `None` view — BE work disabled — stays `None`).
-fn pop_be(states: &mut [BeState], heads: &mut [Option<WorkloadKernel>], i: usize) {
+fn pop_be<'a>(states: &mut [BeState<'a>], heads: &mut [Option<Head<'a>>], i: usize) {
     states[i].pop();
     if heads[i].is_some() {
-        heads[i] = states[i].head().cloned();
+        heads[i] = states[i].head();
     }
 }
 
@@ -666,20 +667,31 @@ pub(crate) fn run_engine(
 
     let arrivals_per_service = generate_arrivals(services, config, &opts.arrivals)?;
 
+    // Every LC query kernel and BE task kernel resolved into a `Head` once:
+    // decisions, predictions and launches below key the profiler history
+    // and the device cache by the stored fingerprint instead of re-hashing
+    // the kernel at every use.
+    let lc_heads: Vec<Vec<Head<'_>>> = services
+        .iter()
+        .map(|svc| svc.lc.query_kernels().iter().map(Head::new).collect())
+        .collect();
+    let be_task_heads: Vec<Vec<Head<'_>>> = be_apps
+        .iter()
+        .map(|app| app.task_kernels().iter().map(Head::new).collect())
+        .collect();
+
     // Warm the profiler with one measurement of every LC kernel (the
     // paper's "historical data": these exact kernels recur every query), so
     // remaining-time accounting predicts them exactly.
     let mut kernel_preds: Vec<Vec<SimTime>> = Vec::with_capacity(services.len());
     let mut query_total_pred: Vec<SimTime> = Vec::with_capacity(services.len());
-    for svc in services {
-        for k in svc.lc.query_kernels() {
-            profiler.measure(k)?;
+    for heads in &lc_heads {
+        for h in heads {
+            profiler.measure_keyed(h.kernel(), h.fp())?;
         }
-        let preds: Vec<SimTime> = svc
-            .lc
-            .query_kernels()
+        let preds: Vec<SimTime> = heads
             .iter()
-            .map(|k| profiler.predict(k))
+            .map(|h| profiler.predict_keyed(h.kernel(), h.fp()))
             .collect::<Result<_, _>>()?;
         query_total_pred.push(preds.iter().copied().sum());
         kernel_preds.push(preds);
@@ -696,19 +708,16 @@ pub(crate) fn run_engine(
         })
         .collect();
 
-    let mut be_states: Vec<BeState> = be_apps
+    let mut be_states: Vec<BeState<'_>> = be_task_heads
         .iter()
-        .map(|a| BeState {
-            app: a.clone(),
-            next: 0,
-        })
+        .map(|task| BeState { task, next: 0 })
         .collect();
     // The manager's view of each BE app's ready head, kept across
     // decisions: an entry changes only when its app retires a kernel
     // (`pop_be`). All `None` when the policy runs no BE work.
-    let mut be_heads: Vec<Option<WorkloadKernel>> = be_states
+    let mut be_heads: Vec<Option<Head<'_>>> = be_states
         .iter()
-        .map(|b| b.head().filter(|_| policy.best_effort_enabled()).cloned())
+        .map(|b| b.head().filter(|_| policy.best_effort_enabled()))
         .collect();
 
     // Steady-state fast path (see ServeOptions::fast_path): eligible only
@@ -729,14 +738,14 @@ pub(crate) fn run_engine(
     let mut profiles: HashMap<u64, QueryProfile> = HashMap::new();
     let mut service_fp: Vec<u64> = Vec::with_capacity(services.len());
     if fast_path {
-        for svc in services {
+        for heads in &lc_heads {
             let mut hasher = StableHasher::new();
-            let mut runs = Vec::with_capacity(svc.lc.query_kernels().len());
-            let mut kernel_ids = Vec::with_capacity(svc.lc.query_kernels().len());
-            for k in svc.lc.query_kernels() {
-                hasher.write_u64(k.fingerprint());
-                kernel_ids.push(k.def.id().get());
-                runs.push(k.run_on(device)?);
+            let mut runs = Vec::with_capacity(heads.len());
+            let mut kernel_ids = Vec::with_capacity(heads.len());
+            for h in heads {
+                hasher.write_u64(h.fp());
+                kernel_ids.push(h.kernel().def.id().get());
+                runs.push(h.run(device)?);
             }
             let fp = hasher.finish();
             service_fp.push(fp);
@@ -920,12 +929,12 @@ pub(crate) fn run_engine(
             );
             for i in 0..burst.kernels as usize {
                 let bi = i % be_states.len();
-                let Some(wk) = be_states[bi].head() else {
+                let Some(head) = be_states[bi].head() else {
                     continue;
                 };
-                let predicted = profiler.predict(wk)?;
-                let run = wk.run_on(device)?;
-                last_be = Some(Arc::clone(&wk.def));
+                let predicted = profiler.predict_keyed(head.kernel(), head.fp())?;
+                let run = head.run(device)?;
+                last_be = Some(Arc::clone(&head.kernel().def));
                 launch_seq += 1;
                 now += run.duration;
                 report.busy += run.duration;
@@ -1125,8 +1134,7 @@ pub(crate) fn run_engine(
 
             let lc_head = active
                 .front()
-                .and_then(|q| q.pending.front().map(|&i| (q.service, i)))
-                .map(|(si, i)| &services[si].lc.query_kernels()[i]);
+                .and_then(|q| q.pending.front().map(|&i| lc_heads[q.service][i]));
             let was_idle = active.is_empty();
             manager.set_now(now);
             m_decisions.inc();
@@ -1144,7 +1152,7 @@ pub(crate) fn run_engine(
                         .pending
                         .pop_front()
                         .expect("RunLc implies a pending kernel");
-                    let mut run = services[si].lc.query_kernels()[idx].run_on(device)?;
+                    let mut run = lc_heads[si][idx].run(device)?;
                     launch_seq += 1;
                     let mf = mispredict[si][idx];
                     if mf != 1.0 {
@@ -1189,7 +1197,7 @@ pub(crate) fn run_engine(
                         retire(sink.as_ref(), &run, "LC", now, predicted);
                     }
                     if let Some(g) = &guard {
-                        let kernel = services[si].lc.query_kernels()[idx].def.id().get();
+                        let kernel = lc_heads[si][idx].kernel().def.id().get();
                         let step = g.observe_launch(kernel, predicted, run.duration);
                         guard_note(&mut report, now, step);
                     }
@@ -1201,6 +1209,7 @@ pub(crate) fn run_engine(
                 Decision::RunFused {
                     be_index,
                     launch,
+                    fp,
                     entry,
                     x_tc,
                     x_cd,
@@ -1215,7 +1224,7 @@ pub(crate) fn run_engine(
                         .pending
                         .pop_front()
                         .expect("fusion implies a pending kernel");
-                    let mut run = device.run_launch(&launch)?;
+                    let mut run = device.run_keyed(fp, &launch.def, || (*launch).clone())?;
                     launch_seq += 1;
                     // A mispredicted LC kernel is just as slow inside a fused
                     // launch as outside it.
@@ -1262,12 +1271,10 @@ pub(crate) fn run_engine(
                     }
                     q.remaining_pred = q.remaining_pred.saturating_sub(kernel_preds[si][idx]);
                     // BE kernel completed via fusion: credit its solo work.
-                    let be_wk = be_heads[be_index]
-                        .as_ref()
-                        .expect("fusion used this BE head");
-                    report.be_work += profiler.measure(be_wk)?;
+                    let be = be_heads[be_index].expect("fusion used this BE head");
+                    report.be_work += profiler.measure_keyed(be.kernel(), be.fp())?;
                     report.be_kernels += 1;
-                    last_be = Some(Arc::clone(&be_wk.def));
+                    last_be = Some(Arc::clone(&be.kernel().def));
                     pop_be(&mut be_states, &mut be_heads, be_index);
                     report.fused_launches += 1;
                     budget -= run.duration.saturating_sub(lc_predicted).as_nanos() as i128;
@@ -1301,8 +1308,8 @@ pub(crate) fn run_engine(
                     be_index,
                     predicted,
                 } => {
-                    let be_wk = be_heads[be_index].as_ref().expect("BE head exists");
-                    let mut run = be_wk.run_on(device)?;
+                    let be = be_heads[be_index].expect("BE head exists");
+                    let mut run = be.run(device)?;
                     launch_seq += 1;
                     let sf = faults.straggler_factor(launch_seq);
                     if sf != 1.0 {
@@ -1334,8 +1341,8 @@ pub(crate) fn run_engine(
                     }
                     report.be_work += run.duration;
                     report.be_kernels += 1;
-                    let be_id = be_wk.def.id().get();
-                    last_be = Some(Arc::clone(&be_wk.def));
+                    let be_id = be.kernel().def.id().get();
+                    last_be = Some(Arc::clone(&be.kernel().def));
                     pop_be(&mut be_states, &mut be_heads, be_index);
                     if was_idle {
                         // Free-running BE during idle replenishes the budget.

@@ -88,6 +88,43 @@ impl StableHasher {
     }
 }
 
+/// A pass-through [`Hasher`](std::hash::Hasher) for maps keyed by
+/// fingerprints that [`StableHasher::finish`] already avalanche-mixed.
+///
+/// A lone `u64` key hashes to itself, so a lookup skips SipHash
+/// entirely; a tuple key folds each further word in with a rotate-xor,
+/// which keeps `(a, b)` and `(b, a)` apart. Keys must be well mixed in
+/// every bit (launch and plan fingerprints, [`KernelId`](crate::KernelId)
+/// values): hashbrown selects the bucket from the low bits and the
+/// control byte from the top seven. Any other key type still works —
+/// equality decides a lookup — but may cluster.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FpHasher(u64);
+
+impl std::hash::Hasher for FpHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = self.0.rotate_left(26) ^ v;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`FpHasher`]:
+/// `HashMap<u64, V, FpBuild>` is a fingerprint-keyed map.
+pub type FpBuild = std::hash::BuildHasherDefault<FpHasher>;
+
 fn hash_expr(h: &mut StableHasher, e: &Expr) {
     match e {
         Expr::Lit(v) => {
@@ -270,6 +307,41 @@ mod tests {
         b.write_str("a");
         b.write_str("bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn fp_maps_agree_with_random_state_maps() {
+        use std::collections::HashMap;
+        let fp = |i: u64| {
+            let mut h = StableHasher::new();
+            h.write_u64(i);
+            h.finish()
+        };
+        let mut single: HashMap<u64, u64, FpBuild> = HashMap::default();
+        let mut single_ref: HashMap<u64, u64> = HashMap::new();
+        let mut pair: HashMap<(u64, u64), u64, FpBuild> = HashMap::default();
+        let mut pair_ref: HashMap<(u64, u64), u64> = HashMap::new();
+        for i in 0..500u64 {
+            single.insert(fp(i), i);
+            single_ref.insert(fp(i), i);
+            // Both orders and the diagonal: the fold must tell them apart.
+            for key in [(fp(i), fp(i + 1)), (fp(i + 1), fp(i)), (fp(i), fp(i))] {
+                pair.insert(key, i);
+                pair_ref.insert(key, i);
+            }
+        }
+        assert_eq!(single.len(), single_ref.len());
+        assert_eq!(pair.len(), pair_ref.len());
+        // Present and absent keys alike.
+        for i in 0..1000u64 {
+            assert_eq!(single.get(&fp(i)), single_ref.get(&fp(i)));
+            for key in [(fp(i), fp(i + 1)), (fp(i + 1), fp(i)), (fp(i), fp(i + 2))] {
+                assert_eq!(pair.get(&key), pair_ref.get(&key));
+            }
+        }
+        // A lone fingerprint hashes to itself.
+        use std::hash::BuildHasher;
+        assert_eq!(FpBuild::default().hash_one(fp(7)), fp(7));
     }
 
     #[test]

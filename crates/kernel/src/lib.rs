@@ -62,7 +62,7 @@ pub mod time;
 pub use ast::{ComputeUnit, Expr, MemDir, MemSpace, Stmt};
 pub use dims::{Dim3, LaunchGeometry};
 pub use error::KernelError;
-pub use fingerprint::StableHasher;
+pub use fingerprint::{FpBuild, FpHasher, StableHasher};
 pub use intern::{intern, intern_name, NameId};
 pub use kernel::{Bindings, KernelDef, KernelDefBuilder, KernelId, KernelKind, KernelLaunch, Name};
 pub use lower::{lower_block, LowerOptions};

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tacker_kernel::{KernelDef, KernelKind, KernelLaunch};
+use tacker_kernel::{FpBuild, KernelDef, KernelKind, KernelLaunch};
 
 use crate::engine::simulate;
 use crate::error::SimError;
@@ -43,11 +43,15 @@ use crate::spec::GpuSpec;
 /// short critical sections.
 pub const CACHE_SHARDS: usize = 16;
 
+/// One cache stripe. Keys are launch fingerprints, already avalanche-mixed,
+/// so the map hashes them with the identity [`FpBuild`] instead of SipHash.
+type Shard = HashMap<u64, Arc<KernelRun>, FpBuild>;
+
 /// A simulated GPU with a sharded execution cache.
 #[derive(Debug)]
 pub struct Device {
     spec: GpuSpec,
-    shards: Vec<Mutex<HashMap<u64, Arc<KernelRun>>>>,
+    shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Hit/miss counters restricted to fused-kernel plans. Fused launches
@@ -63,7 +67,27 @@ impl Device {
         Device {
             spec,
             shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Shard::default()))
+                .collect(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            fused_hits: AtomicU64::new(0),
+            fused_misses: AtomicU64::new(0),
+        }
+    }
+
+    /// A new device of the same spec whose cache starts with every run
+    /// memoized here, shared rather than re-simulated, and whose hit/miss
+    /// counters start at zero. Simulation is pure, so a fork returns
+    /// exactly the runs a cold device would compute; the two caches are
+    /// independent afterwards.
+    pub fn fork(&self) -> Device {
+        Device {
+            spec: self.spec.clone(),
+            shards: self
+                .shards
+                .iter()
+                .map(|s| Mutex::new(s.lock().expect("cache poisoned").clone()))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -78,9 +102,12 @@ impl Device {
     }
 
     /// The cache stripe responsible for a fingerprint. Fingerprints are
-    /// already well-mixed hashes, so the low bits select the shard.
-    fn shard(&self, fp: u64) -> &Mutex<HashMap<u64, Arc<KernelRun>>> {
-        &self.shards[(fp as usize) & (CACHE_SHARDS - 1)]
+    /// already well-mixed hashes, so bits 32.. select the shard: the
+    /// identity-hashed stripe maps take their bucket from the low bits and
+    /// their control byte from the top seven, which must stay free to vary
+    /// inside one stripe.
+    fn shard(&self, fp: u64) -> &Mutex<Shard> {
+        &self.shards[((fp >> 32) as usize) & (CACHE_SHARDS - 1)]
     }
 
     /// Executes a plain kernel launch, memoized. The cache is probed by
@@ -392,6 +419,23 @@ mod tests {
         }
         assert_eq!(dev.cache_len(), 0);
         assert_eq!(dev.cache_stats(), (0, 0));
+    }
+
+    #[test]
+    fn forks_share_memoized_runs_with_fresh_counters() {
+        let dev = Device::new(GpuSpec::rtx2080ti());
+        let l = launch(68);
+        let run = dev.run_launch(&l).unwrap();
+        let fork = dev.fork();
+        assert_eq!(fork.cache_stats(), (0, 0));
+        assert_eq!(fork.cache_len(), 1);
+        // The fork replays the parent's run without re-simulating it.
+        assert!(Arc::ptr_eq(&run, &fork.run_launch(&l).unwrap()));
+        assert_eq!(fork.cache_stats(), (1, 0));
+        // Caches are independent after the fork.
+        fork.run_launch(&launch(680)).unwrap();
+        assert_eq!((fork.cache_len(), dev.cache_len()), (2, 1));
+        assert_eq!(dev.cache_stats(), (0, 1));
     }
 
     #[test]

@@ -81,28 +81,6 @@ pub struct WindowRow {
 }
 
 impl WindowRow {
-    fn empty(index: u64, start: SimTime, end: SimTime) -> Self {
-        WindowRow {
-            index,
-            start,
-            end,
-            busy: SimTime::ZERO,
-            tc_busy: SimTime::ZERO,
-            cd_busy: SimTime::ZERO,
-            arrivals: 0,
-            completions: 0,
-            violations: 0,
-            lc_launches: 0,
-            be_launches: 0,
-            fused_launches: 0,
-            fused_cache_hits: 0,
-            fused_cache_misses: 0,
-            queue_depth_max: 0,
-            headroom_min: None,
-            guard_level: None,
-        }
-    }
-
     /// Whether anything at all was recorded in this window.
     pub fn has_activity(&self) -> bool {
         self.busy > SimTime::ZERO
@@ -198,6 +176,46 @@ impl WindowRow {
     }
 }
 
+/// The in-progress window's counters. They live outside any
+/// [`WindowRow`] while the window is open, so a rotation resets a few
+/// words instead of rebuilding and moving a row; the row is built once,
+/// in place, when the window closes with activity.
+#[derive(Debug, Default)]
+struct WindowAcc {
+    busy_ns: u64,
+    /// Pipeline busy time as f64 nanoseconds, summed per span in arrival
+    /// order and truncated into the row on close — per-span float↔integer
+    /// round trips are measurable on the serving hot path.
+    tc_acc: f64,
+    cd_acc: f64,
+    arrivals: u64,
+    completions: u64,
+    violations: u64,
+    lc_launches: u64,
+    be_launches: u64,
+    fused_launches: u64,
+    fused_cache_hits: u64,
+    fused_cache_misses: u64,
+    queue_depth_max: u64,
+    headroom_min: Option<SimTime>,
+}
+
+impl WindowAcc {
+    /// [`WindowRow::has_activity`] of the row these counters build.
+    fn has_activity(&self) -> bool {
+        self.busy_ns > 0
+            || self.arrivals > 0
+            || self.completions > 0
+            || self.violations > 0
+            || self.lc_launches > 0
+            || self.be_launches > 0
+            || self.fused_launches > 0
+            || self.fused_cache_hits > 0
+            || self.fused_cache_misses > 0
+            || self.headroom_min.is_some()
+    }
+}
+
 /// A stream slicer: feeds of spans and instants come in simulated-time
 /// order; closed non-empty [`WindowRow`]s come out through the emit
 /// callback passed to each feed method.
@@ -205,13 +223,12 @@ impl WindowRow {
 pub struct WindowSeries {
     width: SimTime,
     rows: Vec<WindowRow>,
-    cur: WindowRow,
-    /// Pipeline busy time of the in-progress window, accumulated as f64
-    /// nanoseconds and materialized into the row only when the window
-    /// closes — per-span float↔integer round trips are measurable on the
-    /// serving hot path.
-    tc_acc: f64,
-    cd_acc: f64,
+    /// Index and bounds (`[start, end)`, nanoseconds) of the in-progress
+    /// window.
+    index: u64,
+    start_ns: u64,
+    end_ns: u64,
+    acc: WindowAcc,
     /// Guard level carried across window boundaries (the level persists
     /// until the guard steps again).
     guard_level: Option<&'static str>,
@@ -224,9 +241,10 @@ impl WindowSeries {
         WindowSeries {
             width,
             rows: Vec::with_capacity(128),
-            cur: WindowRow::empty(0, SimTime::ZERO, width),
-            tc_acc: 0.0,
-            cd_acc: 0.0,
+            index: 0,
+            start_ns: 0,
+            end_ns: width.as_nanos(),
+            acc: WindowAcc::default(),
             guard_level: None,
         }
     }
@@ -236,42 +254,50 @@ impl WindowSeries {
         self.width
     }
 
-    fn window_index(&self, t: SimTime) -> u64 {
-        t.as_nanos() / self.width.as_nanos()
+    /// Builds the in-progress window's row and, if the window saw
+    /// anything, collects and emits it. The activity check runs on the
+    /// counters so the row is written once, straight into the collected
+    /// vector: building it first and moving it in costs as much as the
+    /// rest of a rotation.
+    fn flush(&mut self, emit: &mut impl FnMut(&WindowRow)) {
+        let a = &self.acc;
+        if !a.has_activity() {
+            return;
+        }
+        self.rows.push(WindowRow {
+            index: self.index,
+            start: SimTime::from_nanos(self.start_ns),
+            end: SimTime::from_nanos(self.end_ns),
+            busy: SimTime::from_nanos(a.busy_ns),
+            tc_busy: SimTime::from_nanos(a.tc_acc as u64),
+            cd_busy: SimTime::from_nanos(a.cd_acc as u64),
+            arrivals: a.arrivals,
+            completions: a.completions,
+            violations: a.violations,
+            lc_launches: a.lc_launches,
+            be_launches: a.be_launches,
+            fused_launches: a.fused_launches,
+            fused_cache_hits: a.fused_cache_hits,
+            fused_cache_misses: a.fused_cache_misses,
+            queue_depth_max: a.queue_depth_max,
+            headroom_min: a.headroom_min,
+            guard_level: self.guard_level,
+        });
+        emit(self.rows.last().expect("row just pushed"));
     }
 
-    fn open(&mut self, index: u64) {
-        let start = SimTime::from_nanos(index * self.width.as_nanos());
-        self.cur = WindowRow::empty(index, start, start + self.width);
-        self.cur.guard_level = self.guard_level;
-    }
-
-    /// Materializes the f64 pipeline-busy accumulators into the current
-    /// row and resets them.
-    fn settle_busy(&mut self) {
-        self.cur.tc_busy = SimTime::from_nanos(self.tc_acc as u64);
-        self.cur.cd_busy = SimTime::from_nanos(self.cd_acc as u64);
-        self.tc_acc = 0.0;
-        self.cd_acc = 0.0;
-    }
-
+    /// Closes the in-progress window and opens the one at `index`.
     // Window rotation is rare next to the per-launch feeds below, which
     // are forced inline into the serving loop; rotation stays out of line.
     #[cold]
     #[inline(never)]
-    fn close(&mut self, emit: &mut impl FnMut(&WindowRow)) {
-        // Swap the fresh row in and move the closed one out — a clone here
-        // would bill every window rotation for a redundant 160-byte copy.
-        self.settle_busy();
-        let next = self.cur.index + 1;
-        let start = self.cur.end;
-        let mut fresh = WindowRow::empty(next, start, start + self.width);
-        fresh.guard_level = self.guard_level;
-        let row = std::mem::replace(&mut self.cur, fresh);
-        if row.has_activity() {
-            emit(&row);
-            self.rows.push(row);
-        }
+    fn rotate(&mut self, index: u64, emit: &mut impl FnMut(&WindowRow)) {
+        self.flush(emit);
+        let width = self.width.as_nanos();
+        self.index = index;
+        self.start_ns = index * width;
+        self.end_ns = self.start_ns + width;
+        self.acc = WindowAcc::default();
     }
 
     /// Advances the series so `t` falls inside the current window,
@@ -282,19 +308,12 @@ impl WindowSeries {
     pub fn seek(&mut self, t: SimTime, emit: &mut impl FnMut(&WindowRow)) {
         // Hot path: the instant falls in the current window — one compare,
         // no division. The serving engine seeks several times per launch.
-        if t < self.cur.end {
-            return;
-        }
-        let target = self.window_index(t);
-        if target <= self.cur.index {
+        if t.as_nanos() < self.end_ns {
             return;
         }
         // Close the in-progress window, then jump straight to the target:
         // the windows in between saw nothing.
-        self.close(emit);
-        if self.cur.index < target {
-            self.open(target);
-        }
+        self.rotate(t.as_nanos() / self.width.as_nanos(), emit);
     }
 
     /// Records one launch span `[start, end)` with the given pipeline
@@ -312,49 +331,44 @@ impl WindowSeries {
     ) {
         self.seek(start, emit);
         match kind {
-            SpanKind::Lc => self.cur.lc_launches += 1,
-            SpanKind::Be => self.cur.be_launches += 1,
-            SpanKind::Fused => self.cur.fused_launches += 1,
+            SpanKind::Lc => self.acc.lc_launches += 1,
+            SpanKind::Be => self.acc.be_launches += 1,
+            SpanKind::Fused => self.acc.fused_launches += 1,
         }
-        // One launch per engine iteration lands here — stay off the
-        // checked/rounding SimTime arithmetic in the segment loop.
         let tc_util = tc_util.clamp(0.0, 1.0);
         let cd_util = cd_util.clamp(0.0, 1.0);
-        let mut s = start.max(self.cur.start);
+        let (mut s, end) = (start.as_nanos().max(self.start_ns), end.as_nanos());
         while s < end {
-            let seg_end = end.min(self.cur.end);
-            let d = seg_end.saturating_sub(s);
-            self.cur.busy += d;
-            let d_ns = d.as_nanos() as f64;
-            self.tc_acc += d_ns * tc_util;
-            self.cd_acc += d_ns * cd_util;
-            if seg_end < end {
-                self.close(emit);
-                s = self.cur.start;
-            } else {
+            let seg_end = end.min(self.end_ns);
+            let d = seg_end - s;
+            self.acc.busy_ns += d;
+            let d_ns = d as f64;
+            self.acc.tc_acc += d_ns * tc_util;
+            self.acc.cd_acc += d_ns * cd_util;
+            if seg_end == end {
                 break;
             }
+            self.rotate(self.index + 1, emit);
+            s = self.start_ns;
         }
     }
 
     /// Records `n` query admissions at instant `t`.
     pub fn on_arrivals(&mut self, t: SimTime, n: u64, emit: &mut impl FnMut(&WindowRow)) {
         self.seek(t, emit);
-        self.cur.arrivals += n;
+        self.acc.arrivals += n;
     }
 
     /// Records one query completion at instant `t`.
     pub fn on_completion(&mut self, t: SimTime, violated: bool, emit: &mut impl FnMut(&WindowRow)) {
         self.seek(t, emit);
-        self.cur.completions += 1;
-        if violated {
-            self.cur.violations += 1;
-        }
+        self.acc.completions += 1;
+        self.acc.violations += u64::from(violated);
     }
 
     /// Records the queue depth at an admission in the current window.
     pub fn on_queue_depth(&mut self, depth: u64) {
-        self.cur.queue_depth_max = self.cur.queue_depth_max.max(depth);
+        self.acc.queue_depth_max = self.acc.queue_depth_max.max(depth);
     }
 
     /// Records the Equation 8/9 QoS headroom at a scheduling point.
@@ -366,34 +380,25 @@ impl WindowSeries {
         emit: &mut impl FnMut(&WindowRow),
     ) {
         self.seek(t, emit);
-        self.cur.headroom_min = Some(match self.cur.headroom_min {
-            Some(h) => h.min(headroom),
-            None => headroom,
-        });
+        self.acc.headroom_min = Some(self.acc.headroom_min.map_or(headroom, |h| h.min(headroom)));
     }
 
     /// Records the guard ladder level in effect (sticky across windows).
     pub fn set_guard(&mut self, level: Option<&'static str>) {
         self.guard_level = level;
-        self.cur.guard_level = level;
     }
 
     /// Records fused-plan cache hit/miss deltas accrued since the last
     /// call, attributed to the current window.
     pub fn on_cache(&mut self, hits: u64, misses: u64) {
-        self.cur.fused_cache_hits += hits;
-        self.cur.fused_cache_misses += misses;
+        self.acc.fused_cache_hits += hits;
+        self.acc.fused_cache_misses += misses;
     }
 
     /// Closes the final in-progress window (if non-empty) and returns
     /// every collected row. Final rows keep the uniform window width.
     pub fn finish(mut self, emit: &mut impl FnMut(&WindowRow)) -> Vec<WindowRow> {
-        self.settle_busy();
-        if self.cur.has_activity() {
-            emit(&self.cur);
-            let row = self.cur.clone();
-            self.rows.push(row);
-        }
+        self.flush(emit);
         self.rows
     }
 }

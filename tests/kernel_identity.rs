@@ -144,3 +144,26 @@ proptest! {
         }
     }
 }
+
+/// Every registered workload kernel's keyed fingerprints agree with the
+/// fingerprint of the launch it builds: `WorkloadKernel::fingerprint` and
+/// the `Head` a run resolves it into key the device cache and the
+/// profiler history exactly as the launch would.
+#[test]
+fn workload_fingerprints_equal_their_launch_fingerprints() {
+    let device = Device::new(GpuSpec::rtx2080ti());
+    let lc = tacker_workloads::lc_services(&device);
+    let be = tacker_workloads::be_apps();
+    let kernels = lc
+        .iter()
+        .flat_map(LcService::query_kernels)
+        .chain(be.iter().flat_map(BeApp::task_kernels));
+    let mut checked = 0;
+    for wk in kernels {
+        let fp = wk.launch().fingerprint();
+        assert_eq!(wk.fingerprint(), fp, "{wk}");
+        assert_eq!(tacker::Head::new(wk).fp(), fp, "{wk}");
+        checked += 1;
+    }
+    assert!(checked > 100, "only {checked} kernels checked");
+}

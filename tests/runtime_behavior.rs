@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use tacker::library::{FusionLibrary, PairEntry};
-use tacker::manager::{Decision, KernelManager, Policy};
+use tacker::manager::{Decision, Head, KernelManager, Policy};
 use tacker::profile::KernelProfiler;
 use tacker_kernel::SimTime;
 use tacker_sim::{Device, GpuSpec};
@@ -43,10 +43,10 @@ fn manager_selects_the_highest_gain_partner() {
     let hr = SimTime::from_millis(25);
     let decision = manager
         .decide(
-            Some(&lc),
+            Some(Head::new(&lc)),
             hr,
             hr,
-            &[Some(small.clone()), Some(big.clone())],
+            &[Some(Head::new(&small)), Some(Head::new(&big))],
             false,
         )
         .expect("decide");
@@ -87,7 +87,7 @@ fn strikes_blacklist_pairs() {
     let manager = KernelManager::new(Arc::clone(&profiler), Arc::clone(&library), Policy::Tacker);
     let hr = SimTime::from_millis(25);
     let d = manager
-        .decide(Some(&lc), hr, hr, &[Some(be)], false)
+        .decide(Some(Head::new(&lc)), hr, hr, &[Some(Head::new(&be))], false)
         .expect("decide");
     assert!(
         !matches!(d, Decision::RunFused { .. }),
@@ -164,7 +164,13 @@ fn cluster_prepared_pairs_serve_the_node_manager() {
     );
     let hr = SimTime::from_millis(25);
     let d = manager
-        .decide(Some(&tc_kernel()), hr, hr, &[Some(be_head)], false)
+        .decide(
+            Some(Head::new(&tc_kernel())),
+            hr,
+            hr,
+            &[Some(Head::new(&be_head))],
+            false,
+        )
         .expect("decide");
     assert!(
         !matches!(d, Decision::Idle | Decision::RunLc { .. }),
@@ -254,4 +260,145 @@ fn lc_only_decision_trace_launches_no_be_work() {
         }
     }
     assert!(lc_runs > 0, "no LC launches traced");
+}
+
+/// The fields two decisions must agree on: kind, BE index, fused-launch
+/// fingerprint, prediction and the fused components.
+type DecisionSummary = (
+    &'static str,
+    Option<usize>,
+    Option<u64>,
+    SimTime,
+    Option<(SimTime, SimTime, SimTime)>,
+);
+
+fn summary(d: &Decision) -> DecisionSummary {
+    match d {
+        Decision::RunLc { predicted } => ("lc", None, None, *predicted, None),
+        Decision::RunBe {
+            be_index,
+            predicted,
+        } => ("be", Some(*be_index), None, *predicted, None),
+        Decision::RunFused {
+            be_index,
+            launch,
+            fp,
+            predicted,
+            x_tc,
+            x_cd,
+            lc_predicted,
+            ..
+        } => {
+            assert_eq!(*fp, launch.fingerprint(), "RunFused.fp must key its launch");
+            (
+                "fused",
+                Some(*be_index),
+                Some(*fp),
+                *predicted,
+                Some((*x_tc, *x_cd, *lc_predicted)),
+            )
+        }
+        Decision::Idle => ("idle", None, None, SimTime::ZERO, None),
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+    /// A long-lived manager (pair memo warm) decides exactly like a fresh
+    /// manager per call over the same profiler and library: same
+    /// decisions and the same decision/rejection event streams, while
+    /// strikes blacklist pairs, online refits move the fused models and
+    /// the history bypass toggles underneath the memo.
+    #[test]
+    fn memoized_pairs_decide_like_a_fresh_manager(
+        steps in proptest::collection::vec(
+            (0usize..3, 0usize..5, 0usize..6, 0u64..30_000, 0u8..10),
+            1..40,
+        ),
+    ) {
+        use tacker_trace::{RingSink, TraceSink};
+        let device = shared_device();
+        let profiler = Arc::new(KernelProfiler::new(Arc::clone(device)));
+        let library = Arc::new(FusionLibrary::new(Arc::clone(&profiler)));
+        // LC pool: two Tensor GEMMs and a CUDA kernel (both orientations).
+        let gemm = tacker_workloads::dnn::compile::shared_gemm();
+        let lc_pool = [
+            tc_kernel(),
+            gemm_workload(&gemm, GemmShape::new(2048, 2048, 1024)),
+            Benchmark::Mriq.task()[0].clone(),
+        ];
+        // BE pool: CUDA kernels plus a Tensor GEMM; index 5 is "no head".
+        let be_pool = [
+            Benchmark::Cutcp.task()[0].clone(),
+            Benchmark::Fft.task()[0].clone(),
+            Benchmark::Lbm.task()[0].clone(),
+            gemm_workload(&gemm, GemmShape::new(1024, 1024, 512)),
+            Benchmark::Sgemm.task()[0].clone(),
+        ];
+        // Every pool kernel is in the launch history before the first
+        // decision, so neither manager's predictions depend on which of
+        // them asked first.
+        for wk in lc_pool.iter().chain(&be_pool) {
+            profiler.measure(wk).expect("measure");
+        }
+        let long_sink = Arc::new(RingSink::unbounded());
+        let long = KernelManager::with_sink(
+            Arc::clone(&profiler),
+            Arc::clone(&library),
+            Policy::Tacker,
+            long_sink.clone() as Arc<dyn TraceSink>,
+        );
+        let lc_heads: Vec<Head<'_>> = lc_pool.iter().map(Head::new).collect();
+        let be_heads: Vec<Option<Head<'_>>> = be_pool
+            .iter()
+            .map(|k| Some(Head::new(k)))
+            .chain([None])
+            .collect();
+        let mut bypass = false;
+        for (i, &(l, b1, b2, hr_us, op)) in steps.iter().enumerate() {
+            match op {
+                // Strike the (l, b1) pair and refit its model online.
+                0 | 1 => {
+                    let (lc, be) = (&lc_pool[l], &be_pool[b1]);
+                    if let Some((tc, cd)) = FusionLibrary::orient(lc, be) {
+                        if let Some(entry) = library.prepare(tc, cd).expect("prepare") {
+                            let x = profiler.predict(tc).expect("x_tc");
+                            let y = profiler.predict(cd).expect("x_cd");
+                            let lost = (x + y).mul_f64(3.0);
+                            entry.lock().expect("entry").observe_outcome(x, y, lost);
+                        }
+                    }
+                }
+                2 => {
+                    bypass = !bypass;
+                    profiler.set_history_bypass(bypass);
+                }
+                _ => {}
+            }
+            let lc = (op != 9).then_some(lc_heads[l]);
+            let heads = [be_heads[b1], be_heads[b2]];
+            let hr = SimTime::from_micros(hr_us);
+            let multiple_lc = op == 8;
+            let fresh_sink = Arc::new(RingSink::unbounded());
+            let fresh = KernelManager::with_sink(
+                Arc::clone(&profiler),
+                Arc::clone(&library),
+                Policy::Tacker,
+                fresh_sink.clone() as Arc<dyn TraceSink>,
+            );
+            let warm = long.decide(lc, hr, hr, &heads, multiple_lc).expect("long decide");
+            let cold = fresh.decide(lc, hr, hr, &heads, multiple_lc).expect("fresh decide");
+            proptest::prop_assert_eq!(summary(&warm), summary(&cold), "step {}", i);
+            proptest::prop_assert_eq!(long_sink.drain(), fresh_sink.drain(), "step {}", i);
+        }
+        profiler.set_history_bypass(false);
+    }
+}
+
+/// One device per test binary: simulations are pure, so proptest cases
+/// share memoized runs instead of re-simulating every pair.
+fn shared_device() -> &'static Arc<Device> {
+    static DEVICE: std::sync::OnceLock<Arc<Device>> = std::sync::OnceLock::new();
+    DEVICE.get_or_init(|| Arc::new(Device::new(GpuSpec::rtx2080ti())))
 }

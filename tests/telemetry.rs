@@ -242,6 +242,14 @@ fn windowed_serve_rows_sum_to_report_aggregates() {
     );
     assert_eq!(violations, report.qos_violations() as u64);
     assert_eq!(fused, report.fused_launches);
+    // The device started cold, so its fused-plan counters are this run's
+    // traffic: cold pair preparation inside decisions plus fused launches.
+    // Every hit and miss lands in some window.
+    let cache_hits: u64 = report.windows.iter().map(|r| r.fused_cache_hits).sum();
+    let cache_misses: u64 = report.windows.iter().map(|r| r.fused_cache_misses).sum();
+    let (dev_hits, dev_misses) = device.fused_cache_stats();
+    assert!(dev_misses > 0, "cold preparation measures fused candidates");
+    assert_eq!((cache_hits, cache_misses), (dev_hits, dev_misses));
     for row in &report.windows {
         assert!(row.index * row.width().as_nanos() == row.start.as_nanos());
         assert!(
@@ -272,6 +280,31 @@ fn windowed_serve_rows_sum_to_report_aggregates() {
     assert_eq!(jsonl.lines().count(), report.windows.len());
     summarize(&jsonl).expect("summarize(jsonl) succeeds");
     summarize("not-a-metrics-file").expect_err("junk is rejected");
+}
+
+/// Cold pair preparation happens inside decisions even when no fusion is
+/// ever accepted: with a QoS target too tight for any headroom, every
+/// decision runs the LC kernel, yet the fused candidates measured while
+/// preparing pairs must still land in the windows.
+#[test]
+fn windows_count_fused_cache_traffic_of_unaccepted_pairs() {
+    let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+    let lc = drill_lc();
+    let be = drill_be();
+    let mut config = ExperimentConfig::default().with_queries(4).with_seed(3);
+    config.qos_target = SimTime::from_micros(1);
+    let report = ColocationRun::new(&device, &config, std::slice::from_ref(&lc), &be)
+        .expect("run")
+        .policy(Policy::Tacker)
+        .windowed(SimTime::from_millis(1))
+        .run()
+        .expect("run");
+    assert_eq!(report.fused_launches, 0, "no headroom, no fusion");
+    let misses: u64 = report.windows.iter().map(|r| r.fused_cache_misses).sum();
+    let hits: u64 = report.windows.iter().map(|r| r.fused_cache_hits).sum();
+    let (dev_hits, dev_misses) = device.fused_cache_stats();
+    assert!(dev_misses > 0, "decisions prepared fused pairs");
+    assert_eq!((hits, misses), (dev_hits, dev_misses));
 }
 
 #[test]
