@@ -33,15 +33,23 @@ fn main() {
     // The 20 load points are independent measurements: fan them out over
     // the work pool and join in ratio order.
     let ratios: Vec<f64> = (1..=20).map(|i| i as f64 * 0.1).collect();
-    let durations = tacker_bench::par_map(tacker_bench::bench_jobs(), &ratios, |_, &r| {
-        let cd_grid = ((cd.grid as f64 * r * x_tc.ratio(t_cd_unit)).round() as u64).max(1);
-        let launch = {
-            let e = entry.lock().expect("entry");
-            e.fused.launch(tc.grid, cd_grid, &tc.bindings, &cd.bindings)
-        };
-        let plan = ExecutablePlan::from_launch(device.spec(), &launch).expect("plan");
-        device.run_plan(&plan).expect("fused").duration
-    });
+    let durations = {
+        let (device, entry, tc, cd) = (
+            Arc::clone(&device),
+            Arc::clone(&entry),
+            tc.clone(),
+            cd.clone(),
+        );
+        tacker_bench::pool_map(tacker_bench::bench_jobs(), ratios.clone(), move |_, &r| {
+            let cd_grid = ((cd.grid as f64 * r * x_tc.ratio(t_cd_unit)).round() as u64).max(1);
+            let launch = {
+                let e = entry.lock().expect("entry");
+                e.fused.launch(tc.grid, cd_grid, &tc.bindings, &cd.bindings)
+            };
+            let plan = ExecutablePlan::from_launch(device.spec(), &launch).expect("plan");
+            device.run_plan(&plan).expect("fused").duration
+        })
+    };
     let mut points = Vec::new();
     for (&r, t) in ratios.iter().zip(&durations) {
         let norm = t.ratio(x_tc);

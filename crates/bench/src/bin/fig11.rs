@@ -16,7 +16,7 @@ use tacker_workloads::parboil::Benchmark;
 fn main() {
     let device = rtx2080ti();
     let profiler = Arc::new(KernelProfiler::new(Arc::clone(&device)));
-    let library = FusionLibrary::new(Arc::clone(&profiler));
+    let library = Arc::new(FusionLibrary::new(Arc::clone(&profiler)));
     let gemm_def = tacker_workloads::dnn::compile::shared_gemm();
     let cd0 = Benchmark::Fft.task()[0].clone();
 
@@ -27,8 +27,15 @@ fn main() {
         println!("{:>10} {:>12}", "X_tc(us)", "T_fuse(us)");
         // Each GEMM size is an independent prepare + measurement; fan them
         // out and join in size order.
+        let (device, profiler, library, gemm_def, cd0) = (
+            Arc::clone(&device),
+            Arc::clone(&profiler),
+            Arc::clone(&library),
+            Arc::clone(&gemm_def),
+            cd0.clone(),
+        );
         let samples: Vec<(f64, f64)> =
-            tacker_bench::par_map(tacker_bench::bench_jobs(), &sizes, |_, &m| {
+            tacker_bench::pool_map(tacker_bench::bench_jobs(), sizes.to_vec(), move |_, &m| {
                 let tc = gemm_workload(&gemm_def, GemmShape::new(m, 4096, 512));
                 let entry = library.prepare(&tc, &cd0).expect("prepare").expect("fuses");
                 let x_tc = profiler.measure(&tc).expect("tc");

@@ -17,14 +17,18 @@ fn main() {
     let be_names = ["sgemm", "fft"];
     // The two co-locations are independent runs; execute them on the pool
     // and print in name order.
-    let reports = tacker_bench::par_map(tacker_bench::bench_jobs(), &be_names, |_, be_name| {
-        let be = vec![tacker_workloads::be_app(be_name).expect("BE app")];
-        ColocationRun::new(&device, &config, std::slice::from_ref(&lc), &be)
-            .expect("tacker run")
-            .policy(Policy::Tacker)
-            .run()
-            .expect("tacker run")
-    });
+    let reports = tacker_bench::pool_map(
+        tacker_bench::bench_jobs(),
+        be_names.to_vec(),
+        move |_, be_name| {
+            let be = vec![tacker_workloads::be_app(be_name).expect("BE app")];
+            ColocationRun::new(&device, &config, std::slice::from_ref(&lc), &be)
+                .expect("tacker run")
+                .policy(Policy::Tacker)
+                .run()
+                .expect("tacker run")
+        },
+    );
     let mut overlaps: Vec<(String, SimTime)> = Vec::new();
     for (be_name, report) in be_names.iter().zip(reports) {
         let tl = report.timeline.expect("timeline recorded");

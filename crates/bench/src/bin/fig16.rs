@@ -8,8 +8,10 @@
 //! The 72 runs fan out over the `tacker-par` work pool; rows are joined in
 //! grid order so the table is identical at any jobs count.
 
+use std::sync::Arc;
+
 use tacker::prelude::*;
-use tacker_bench::{bench_jobs, eval_config, eval_lc_services, rtx2080ti, try_par_map};
+use tacker_bench::{bench_jobs, eval_config, eval_lc_services, rtx2080ti, try_pool_map};
 
 fn main() {
     let device = rtx2080ti();
@@ -19,20 +21,25 @@ fn main() {
     let mut pairs = Vec::new();
     for lc in &lcs {
         for be in &be_apps {
-            pairs.push((lc, be));
+            pairs.push((lc.clone(), be.clone()));
         }
     }
-    let reports: Vec<RunReport> = try_par_map(bench_jobs(), &pairs, |_, &(lc, be)| {
-        ColocationRun::new(
-            &device,
-            &config,
-            std::slice::from_ref(lc),
-            std::slice::from_ref(be),
-        )?
-        .policy(Policy::Tacker)
-        .run()
-    })
-    .expect("tacker run");
+    let pairs = Arc::new(pairs);
+    let reports: Vec<RunReport> = {
+        let (device, config, pairs) = (Arc::clone(&device), config.clone(), Arc::clone(&pairs));
+        try_pool_map(bench_jobs(), (0..pairs.len()).collect(), move |_, &i| {
+            let (lc, be) = &pairs[i];
+            ColocationRun::new(
+                &device,
+                &config,
+                std::slice::from_ref(lc),
+                std::slice::from_ref(be),
+            )?
+            .policy(Policy::Tacker)
+            .run()
+        })
+        .expect("tacker run")
+    };
 
     println!(
         "# Figure 16: LC latencies under Tacker (QoS target {})",

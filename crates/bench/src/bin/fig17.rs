@@ -48,16 +48,24 @@ fn main() {
             ew::pool_workload(3_000_000, 18),
         ],
     ));
-    let errors: Vec<f64> =
-        tacker_bench::par_map(tacker_bench::bench_jobs(), &cases, |_, (_, train, held)| {
-            profiler.ensure_model(train).expect("profiling");
-            let mut worst = 0.0f64;
-            for wk in held {
-                let e = profiler.prediction_error(wk).expect("error");
-                worst = worst.max(e);
-            }
-            worst
-        });
+    let cases = Arc::new(cases);
+    let errors: Vec<f64> = {
+        let (profiler, cases) = (Arc::clone(&profiler), Arc::clone(&cases));
+        tacker_bench::pool_map(
+            tacker_bench::bench_jobs(),
+            (0..cases.len()).collect(),
+            move |_, &i| {
+                let (_, train, held) = &cases[i];
+                profiler.ensure_model(train).expect("profiling");
+                let mut worst = 0.0f64;
+                for wk in held {
+                    let e = profiler.prediction_error(wk).expect("error");
+                    worst = worst.max(e);
+                }
+                worst
+            },
+        )
+    };
     for ((name, _, _), worst) in cases.iter().zip(&errors) {
         println!("{name:>9} {:>9.2}%", 100.0 * worst);
     }

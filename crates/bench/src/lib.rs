@@ -13,7 +13,7 @@ use tacker_sim::{Device, GpuSpec};
 use tacker_workloads::{BeApp, LcService};
 
 /// Re-exported so every figure binary fans its grid out the same way.
-pub use tacker_par::{available_jobs, par_map, try_par_map};
+pub use tacker_par::{available_jobs, pool_map, try_pool_map};
 
 /// The LC services of the paper's evaluation (Table II).
 pub const EVAL_LC_NAMES: [&str; 6] = [

@@ -19,10 +19,12 @@ pub struct ExperimentConfig {
     /// Threshold (relative error) beyond which fused-duration models are
     /// retrained online (0.10 in §VI-C).
     pub model_refresh_threshold: f64,
-    /// Worker threads for the parallelizable phases (fusion-candidate
-    /// measurement, model-fitting ratios, sweep fan-out). `0` means "use
-    /// every core". Parallelism never changes results — the simulation is
-    /// pure and every RNG stream is derived per run — so this is purely a
+    /// Worker threads for the fan-outs across runs (sweep cells, serve-mode
+    /// calibration per LC service). `0` means "use every core". Within a
+    /// run, fusion-library preparation always runs on the calling thread:
+    /// this knob does not reach it. Parallelism never changes results — the
+    /// simulation is pure, every RNG stream is derived per run and each
+    /// run's profiler is driven from one thread — so this is purely a
     /// wall-clock knob.
     pub jobs: usize,
 }

@@ -14,6 +14,12 @@
 //! Pairs are prepared lazily and cached; a pair whose Tensor kernel is a
 //! black-box cuDNN implementation never enters the library (its source is
 //! unavailable for fusion).
+//!
+//! Preparation runs on the calling thread, in a fixed order: candidates
+//! in enumeration order, then the load ratios in [`PROFILE_RATIOS`] order.
+//! The only parallel layer is the sweep above it, one cell per worker; a
+//! nested fan-out here would drive one run's [`KernelProfiler`] from
+//! several threads, and its predictions depend on call order.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -89,10 +95,6 @@ fn work_bucket(wk: &WorkloadKernel) -> u32 {
 pub struct FusionLibrary {
     profiler: Arc<KernelProfiler>,
     pack: PackPriority,
-    /// Worker threads for candidate measurement and ratio profiling
-    /// (`0` = every core). Measurement is pure and memoized, so the thread
-    /// count never changes which candidate wins.
-    jobs: usize,
     entries: Mutex<HashMap<PairKey, Option<Arc<Mutex<PairEntry>>>>>,
     /// Memoized fused-kernel construction, keyed by the component kernels'
     /// content-derived ids and the fusion ratio. `fuse_flexible` is
@@ -108,7 +110,6 @@ impl FusionLibrary {
         FusionLibrary {
             profiler,
             pack: PackPriority::TensorFirst,
-            jobs: 0,
             entries: Mutex::new(HashMap::new()),
             fused_defs: Mutex::new(HashMap::new()),
         }
@@ -119,16 +120,14 @@ impl FusionLibrary {
         FusionLibrary {
             profiler,
             pack,
-            jobs: 0,
             entries: Mutex::new(HashMap::new()),
             fused_defs: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Sets the worker-thread count for offline preparation (`0` = every
-    /// core).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
+    /// Kept for source compatibility and ignored: preparation always runs
+    /// on the calling thread (see the module docs).
+    pub fn with_jobs(self, _jobs: usize) -> Self {
         self
     }
 
@@ -260,17 +259,8 @@ impl FusionLibrary {
             .into_iter()
             .filter_map(|cfg| self.fused_for(tc, cd, cfg, &spec.sm))
             .collect();
-        // Measure every candidate up front on the work pool (the hottest
-        // offline fan-out: one full simulation per feasible ratio), then
-        // replay the measurements into the selector in candidate order —
-        // `select_best` sees exactly what a serial measurement loop would
-        // have produced.
-        let measured = tacker_par::par_map(self.jobs, &candidates, |_, cand| {
+        let decision = select_best(candidates, sequential, |cand| {
             self.measure_fused(cand, tc, cd, cd_grid).ok()
-        });
-        let mut measured = measured.into_iter();
-        let decision = select_best(candidates, sequential, |_| {
-            measured.next().expect("one measurement per candidate")
         })?;
         let FusionDecision::Fuse {
             kernel,
@@ -281,19 +271,26 @@ impl FusionLibrary {
             return Ok(None);
         };
 
-        // Fit the two-stage model at the paper's profiling ratios; the
-        // ratio points are independent measurements, so they fan out over
-        // the work pool too and are joined back in ratio order.
+        // Fit the two-stage model at the paper's profiling ratios. Grids
+        // and CD predictions come first, in ratio order — the profiler
+        // sees the calls a ratio-by-ratio loop makes, since fused
+        // measurements touch only the device — and then the fused
+        // launches, equal but for the CD grid, run as one family.
         let x_tc = self.profiler.predict(tc)?;
-        let samples: Vec<(f64, f64)> =
-            tacker_par::try_par_map(self.jobs, &PROFILE_RATIOS, |_, &ratio| {
-                let g = self.cd_grid_for_ratio(tc, cd, ratio)?;
-                let t_fuse = self.measure_fused(&kernel, tc, cd, g)?;
-                let mut cd_scaled = cd.clone();
-                cd_scaled.grid = g;
-                let x_cd = self.profiler.predict(&cd_scaled)?;
-                Ok::<_, TackerError>((x_cd.ratio(x_tc), t_fuse.ratio(x_tc)))
-            })?;
+        let mut x_cds = Vec::with_capacity(PROFILE_RATIOS.len());
+        let mut launches = Vec::with_capacity(PROFILE_RATIOS.len());
+        for ratio in PROFILE_RATIOS {
+            let g = self.cd_grid_for_ratio(tc, cd, ratio)?;
+            let mut cd_scaled = cd.clone();
+            cd_scaled.grid = g;
+            x_cds.push(self.profiler.predict(&cd_scaled)?);
+            launches.push(kernel.launch(tc.grid, g, &tc.bindings, &cd.bindings));
+        }
+        let samples = x_cds
+            .into_iter()
+            .zip(self.profiler.device().run_family(&launches))
+            .map(|(x_cd, run)| Ok((x_cd.ratio(x_tc), run?.duration.ratio(x_tc))))
+            .collect::<Result<Vec<(f64, f64)>, TackerError>>()?;
         // A pair whose duration cannot be modelled (e.g. degenerate
         // profiling ratios for very coarse CD kernels) is not fused: no
         // model means no QoS guarantee.
@@ -400,28 +397,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_preparation_matches_serial() {
+    fn preparation_is_reproducible_on_a_shared_device() {
+        // The second library finds every fused run memoized by the first;
+        // a fresh profiler drives the same calls in the same order, so the
+        // entries agree field for field.
         let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
         let tc = tc_kernel();
         let cd = Benchmark::Cutcp.task()[0].clone();
-        let serial = {
-            let profiler = Arc::new(KernelProfiler::new(Arc::clone(&device)));
-            let lib = FusionLibrary::new(profiler).with_jobs(1);
-            lib.prepare(&tc, &cd).unwrap().expect("fuses")
+        let prepare = || {
+            let lib = FusionLibrary::new(Arc::new(KernelProfiler::new(Arc::clone(&device))));
+            let entry = lib.prepare(&tc, &cd).unwrap().expect("fuses");
+            let e = entry.lock().unwrap().clone();
+            e
         };
-        let parallel = {
-            let profiler = Arc::new(KernelProfiler::new(Arc::clone(&device)));
-            let lib = FusionLibrary::new(profiler).with_jobs(4);
-            lib.prepare(&tc, &cd).unwrap().expect("fuses")
-        };
-        let s = serial.lock().unwrap();
-        let p = parallel.lock().unwrap();
-        assert_eq!(s.fused.config(), p.fused.config());
-        assert_eq!(s.offline_fused, p.offline_fused);
-        assert_eq!(s.offline_sequential, p.offline_sequential);
+        let cold = prepare();
+        let warm = prepare();
+        assert_eq!(cold.fused.config(), warm.fused.config());
+        assert_eq!(cold.offline_fused, warm.offline_fused);
+        assert_eq!(cold.offline_sequential, warm.offline_sequential);
         assert_eq!(
-            s.model.opportune_load_ratio(),
-            p.model.opportune_load_ratio()
+            cold.model.opportune_load_ratio(),
+            warm.model.opportune_load_ratio()
         );
     }
 

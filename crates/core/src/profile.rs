@@ -41,6 +41,15 @@ pub fn feature_row(wk: &WorkloadKernel) -> Vec<f64> {
 }
 
 /// Profiles kernels on a device and serves duration predictions.
+///
+/// Predictions depend on call order: a launch already measured answers
+/// from its exact history, an unseen one from its definition's LR model,
+/// and the model is fitted from whichever launch of the definition first
+/// needed it (its profiling points then join the history). Two call
+/// sequences over the same launches can therefore predict differently, so
+/// one run's profiler must be driven from one thread, in a fixed order.
+/// The type is `Sync` so that runs can share a device, not so that one
+/// profiler can be driven concurrently.
 pub struct KernelProfiler {
     device: Arc<Device>,
     models: Mutex<HashMap<KernelId, KernelDurationModel>>,
@@ -125,7 +134,8 @@ impl KernelProfiler {
 
     /// Builds (once) the duration model for this kernel definition by
     /// profiling grid and work-parameter scalings of the representative
-    /// launch.
+    /// launch. The first model stored for a definition stays: a later
+    /// builder adopts it instead of replacing a model callers already used.
     ///
     /// # Errors
     ///
@@ -164,7 +174,8 @@ impl KernelProfiler {
         self.models
             .lock()
             .expect("models poisoned")
-            .insert(id, model);
+            .entry(id)
+            .or_insert(model);
         Ok(())
     }
 

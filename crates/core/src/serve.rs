@@ -639,7 +639,7 @@ pub(crate) fn run_engine(
         Arc::clone(device),
         Arc::clone(&sink),
     ));
-    let library = Arc::new(FusionLibrary::new(Arc::clone(&profiler)).with_jobs(config.jobs));
+    let library = Arc::new(FusionLibrary::new(Arc::clone(&profiler)));
     let faults = &opts.faults;
     let serving = opts.guard.is_some() || !faults.is_zero();
     let guard = opts

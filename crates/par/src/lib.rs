@@ -19,10 +19,6 @@
 //!   (expected event counts) and claims heaviest-first, which bounds the
 //!   tail of a skewed batch; weights steer scheduling only, never
 //!   results, so `jobs = N` stays bit-identical to `jobs = 1`.
-//! * [`par_map`] / [`try_par_map`]: the scoped fork-join map kept for
-//!   one-shot callers whose items and closures borrow from the stack
-//!   (the figure benchmarks); scoped threads can take non-`'static`
-//!   borrows, which pool workers cannot.
 //! * [`derive_seed`]: a stable string-keyed seed mixer, so every run of a
 //!   sweep gets its own RNG stream derived from the (pair, load, policy)
 //!   tuple instead of sharing one mutable stream whose draw order would
@@ -349,90 +345,6 @@ where
         .collect()
 }
 
-/// Maps `f` over `items` on up to `jobs` scoped threads, preserving input
-/// ordering in the output.
-///
-/// This is the borrowing fork-join variant: `items` and `f` may borrow
-/// from the caller's stack, which the persistent pool cannot accept
-/// (pool jobs must be `'static`). One-shot figure benchmarks use this;
-/// the sweep hot path goes through [`pool_map_sharded`].
-///
-/// `f` receives `(index, &item)` so callers can derive per-item seeds or
-/// labels without capturing mutable state. Results are written to the slot
-/// of their input index; the returned vector is identical to
-/// `items.iter().enumerate().map(|(i, x)| f(i, x)).collect()` for any pure
-/// `f`, whatever the thread interleaving.
-///
-/// # Panics
-///
-/// Propagates the first worker panic after all threads have been joined
-/// (scoped threads cannot be detached mid-map).
-pub fn par_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let jobs = effective_jobs(jobs).min(items.len().max(1));
-    if jobs <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    // Each worker claims indices from the shared cursor and returns the
-    // (index, result) pairs it produced; the join below writes each result
-    // into its input slot, which is what makes the output order
-    // deterministic.
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            return produced;
-                        }
-                        produced.push((i, f(i, &items[i])));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("par_map worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index claimed exactly once"))
-        .collect()
-}
-
-/// Maps a fallible `f` over `items` in parallel and returns the first
-/// error by *input order* (not completion order), so error reporting is
-/// deterministic too.
-///
-/// All items are still evaluated even when an early one fails — workers
-/// race ahead of the join — which is acceptable because workloads here are
-/// pure simulations with no side effects worth cancelling.
-///
-/// # Errors
-///
-/// Returns the error of the lowest-indexed failing item.
-pub fn try_par_map<T, R, E, F>(jobs: usize, items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    let results = par_map(jobs, items, f);
-    results.into_iter().collect()
-}
-
 /// Derives a per-run RNG seed from a base seed and a tuple of string /
 /// integer parts (FNV-1a over the parts, then a SplitMix64 finalizer).
 ///
@@ -465,54 +377,15 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn par_map_matches_serial_map() {
-        let items: Vec<u64> = (0..257).collect();
-        let serial: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| x * 3 + i as u64)
-            .collect();
-        for jobs in [1, 2, 3, 4, 8, 33] {
-            let par = par_map(jobs, &items, |i, x| x * 3 + i as u64);
-            assert_eq!(par, serial, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn par_map_handles_empty_and_single() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map(4, &empty, |_, x| *x).is_empty());
-        assert_eq!(par_map(4, &[7u32], |_, x| x + 1), vec![8]);
-    }
-
-    #[test]
     fn every_item_runs_exactly_once() {
-        let counters: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-        par_map(7, &(0..100usize).collect::<Vec<_>>(), |_, &i| {
-            counters[i].fetch_add(1, Ordering::Relaxed)
+        let counters: Arc<Vec<AtomicU64>> = Arc::new((0..100).map(|_| AtomicU64::new(0)).collect());
+        let seen = Arc::clone(&counters);
+        pool_map(7, (0..100usize).collect(), move |_, &i| {
+            seen[i].fetch_add(1, Ordering::Relaxed)
         });
         for (i, c) in counters.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "item {i}");
         }
-    }
-
-    #[test]
-    fn try_par_map_reports_lowest_index_error() {
-        let items: Vec<u32> = (0..64).collect();
-        let r = try_par_map(
-            4,
-            &items,
-            |_, &x| {
-                if x == 9 || x == 41 {
-                    Err(x)
-                } else {
-                    Ok(x)
-                }
-            },
-        );
-        assert_eq!(r, Err(9));
-        let ok = try_par_map::<_, _, u32, _>(4, &items, |_, &x| Ok(x * 2));
-        assert_eq!(ok.unwrap()[10], 20);
     }
 
     #[test]
@@ -617,17 +490,6 @@ mod tests {
             let ok = pool_map(4, (0..64u32).collect(), |_, &x| x + 1);
             assert_eq!(ok, (1..=64u32).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn worker_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            par_map(2, &[1u32, 2, 3, 4], |_, &x| {
-                assert!(x != 3, "boom");
-                x
-            })
-        });
-        assert!(result.is_err());
     }
 
     #[test]

@@ -150,6 +150,52 @@ impl<Q: SimQueue> Simulation<Q> {
     }
 }
 
+impl<Q: SimQueue> Simulation<Q> {
+    /// Pops the earliest event together with its inline-continuation
+    /// bound, advancing the clock: the first half of one [`Simulation::run`]
+    /// step, for drivers that inspect the kernel between pop and dispatch.
+    #[inline]
+    pub(crate) fn pop_hinted(&mut self) -> Option<(Event, f64)> {
+        let (time, payload, hint) = self.queue.pop_with_hint()?;
+        self.clock = time;
+        Some((Event { time, payload }, hint))
+    }
+
+    /// Dispatches an event popped by [`Simulation::pop_hinted`] (the second
+    /// half of a [`Simulation::run`] step).
+    #[inline]
+    pub(crate) fn dispatch<H: EventHandler<Q>>(
+        &mut self,
+        handler: &mut H,
+        event: Event,
+        hint: f64,
+    ) {
+        self.clock = event.time;
+        let mut ctx = SimulationContext {
+            inline_bound: hint,
+            sim: self,
+        };
+        handler.on_event(event, &mut ctx);
+    }
+
+    /// The pending-event queue.
+    pub(crate) fn queue(&self) -> &Q {
+        &self.queue
+    }
+
+    /// A kernel with this one's sequence counter, clock and RNG state
+    /// over `queue`, which must hold a copy of this kernel's pending
+    /// events: the two then continue identically from here.
+    pub(crate) fn resume_on<R: SimQueue>(&self, queue: R) -> Simulation<R> {
+        Simulation {
+            queue,
+            seq: self.seq,
+            clock: self.clock,
+            rng: self.rng,
+        }
+    }
+}
+
 impl<Q: SimQueue> Schedule for Simulation<Q> {
     #[inline]
     fn schedule(&mut self, time: f64, payload: u32) {

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 
 use tacker_kernel::{FpBuild, KernelDef, KernelKind, KernelLaunch};
 
-use crate::engine::simulate;
+use crate::engine::{simulate, simulate_family};
 use crate::error::SimError;
 use crate::plan::ExecutablePlan;
 use crate::result::KernelRun;
@@ -145,6 +145,75 @@ impl Device {
         self.run_miss(&ExecutablePlan::from_launch(&self.spec, &launch)?, fp)
     }
 
+    /// Executes a family of launches, memoized: the result for each launch
+    /// is exactly what [`Device::run_launch`] would return for it, and the
+    /// hit/miss counters move exactly as they would for those calls in
+    /// order (a launch repeated within the family counts as a hit after
+    /// its first, simulated occurrence).
+    ///
+    /// The misses are simulated together: launches whose plans differ only
+    /// in per-role work counts — a fused pair profiled at several load
+    /// ratios — share the simulation of their common prefix (see
+    /// DESIGN.md §3, *Ratio families*).
+    pub fn run_family(&self, launches: &[KernelLaunch]) -> Vec<Result<Arc<KernelRun>, SimError>> {
+        /// Where a launch's result comes from.
+        enum Slot {
+            Done(Result<Arc<KernelRun>, SimError>),
+            /// Index into the simulated plans.
+            Miss(usize),
+            /// A repeat of an earlier miss of this family.
+            Repeat(usize),
+        }
+        let mut plans: Vec<(u64, ExecutablePlan)> = Vec::new();
+        let slots: Vec<Slot> = launches
+            .iter()
+            .map(|launch| {
+                let fp = launch.fingerprint();
+                if let Some(i) = plans.iter().position(|(f, _)| *f == fp) {
+                    return Slot::Repeat(i);
+                }
+                if let Some(hit) = self.probe(fp, launch.def.kind() == KernelKind::Fused) {
+                    return Slot::Done(Ok(hit));
+                }
+                match ExecutablePlan::from_launch(&self.spec, launch) {
+                    Ok(plan) => {
+                        plans.push((fp, plan));
+                        Slot::Miss(plans.len() - 1)
+                    }
+                    Err(e) => Slot::Done(Err(e)),
+                }
+            })
+            .collect();
+        let family: Vec<&ExecutablePlan> = plans.iter().map(|(_, plan)| plan).collect();
+        let runs: Vec<Result<Arc<KernelRun>, SimError>> = simulate_family(&self.spec, &family)
+            .into_iter()
+            .zip(&plans)
+            .map(|(result, (fp, plan))| {
+                let run = Arc::new(result?);
+                self.count_miss(plan.fused);
+                self.shard(*fp)
+                    .lock()
+                    .expect("cache poisoned")
+                    .insert(*fp, Arc::clone(&run));
+                Ok(run)
+            })
+            .collect();
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Done(result) => result,
+                Slot::Miss(i) => runs[i].clone(),
+                Slot::Repeat(i) => {
+                    // A failed first occurrence is not cached, so its
+                    // repeat fails again uncounted; a stored one is a hit.
+                    let shared = runs[i].clone()?;
+                    self.count_hit(plans[i].1.fused);
+                    Ok(shared)
+                }
+            })
+            .collect()
+    }
+
     /// Executes a prepared plan, memoized when the plan has a fingerprint.
     /// Hits return the shared cached run (refcount bump, zero copy).
     ///
@@ -167,11 +236,24 @@ impl Device {
         let shard = self.shard(fp).lock().expect("cache poisoned");
         let hit = Arc::clone(shard.get(&fp)?);
         drop(shard);
+        self.count_hit(fused);
+        Some(hit)
+    }
+
+    /// Counts one cache hit (and a fused hit when `fused`).
+    fn count_hit(&self, fused: bool) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         if fused {
             self.fused_hits.fetch_add(1, Ordering::Relaxed);
         }
-        Some(hit)
+    }
+
+    /// Counts one simulated miss (and a fused miss when `fused`).
+    fn count_miss(&self, fused: bool) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if fused {
+            self.fused_misses.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Simulates a plan whose probe under `fp` missed and stores the run.
@@ -187,10 +269,7 @@ impl Device {
     /// Simulates a plan, counting a miss (and a fused miss) on success.
     fn simulate_counted(&self, plan: &ExecutablePlan) -> Result<Arc<KernelRun>, SimError> {
         let run = Arc::new(simulate(&self.spec, plan)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if plan.fused {
-            self.fused_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        self.count_miss(plan.fused);
         Ok(run)
     }
 

@@ -82,6 +82,10 @@ use crate::queue::{CalendarQueue, HeapQueue, SimQueue};
 use crate::result::{merge_intervals, ActivitySummary, Interval, KernelRun};
 use crate::spec::GpuSpec;
 
+mod family;
+
+pub(crate) use family::simulate_family;
+
 /// Cycles charged for a barrier release.
 const BARRIER_COST: f64 = 4.0;
 
@@ -185,7 +189,7 @@ struct WarpMeta {
 
 /// The six FCFS pipeline servers of one SM, each a reusable
 /// [`FcfsServer`] component from the simulation core.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ServerBank {
     tc: FcfsServer,
     cd: FcfsServer,
@@ -224,6 +228,19 @@ struct BarrierBoard {
     /// Scratch buffer reused across releases so each release does not
     /// allocate (and drop) a fresh waiter list.
     release_scratch: Vec<u32>,
+}
+
+/// A copy of the live board: the active waiter slots only, not the
+/// pool's cleared tail or the release scratch.
+impl Clone for BarrierBoard {
+    fn clone(&self) -> Self {
+        BarrierBoard {
+            arrived: self.arrived.clone(),
+            waiters: self.waiters[..self.len].to_vec(),
+            len: self.len,
+            release_scratch: Vec::new(),
+        }
+    }
 }
 
 impl BarrierBoard {
@@ -294,7 +311,7 @@ impl BarrierBoard {
 /// struct-of-arrays form plus the barrier board. Reused across
 /// simulations so a run's setup clears vectors instead of allocating
 /// them; see [`EngineScratch`].
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct EngineState {
     /// Per warp, indexed by the dense warp id (= calendar event payload).
     warp_exec: Vec<WarpExec>,
@@ -394,6 +411,32 @@ struct WarpEngine<'a> {
 }
 
 impl<'a> WarpEngine<'a> {
+    /// An engine continuing this one's run, with its servers and counters,
+    /// over `st` (a copy of this engine's state) for `plan` (this plan up
+    /// to per-role work counts). Untraced: families never trace.
+    fn fork<'b>(&self, plan: &'b ExecutablePlan, st: &'b mut EngineState) -> WarpEngine<'b>
+    where
+        'a: 'b,
+    {
+        WarpEngine {
+            spec: self.spec,
+            plan,
+            prog: self.prog,
+            st,
+            servers: self.servers.clone(),
+            dram_bytes: self.dram_bytes,
+            inv_dram_rate: self.inv_dram_rate,
+            issue_cost: self.issue_cost,
+            coalesced: self.coalesced,
+            pops: self.pops,
+            macro_runs: self.macro_runs,
+            macro_on: self.macro_on,
+            last_time: self.last_time,
+            sink: self.sink,
+            tracing: self.tracing,
+        }
+    }
+
     fn launch_next_block(&mut self, sched: &mut impl Schedule, now: f64) {
         let Some(index) = self.st.pending.pop() else {
             return;
@@ -751,11 +794,12 @@ impl<'a, Q: SimQueue> EventHandler<Q> for WarpEngine<'a> {
 
 /// Validates the plan, resets the scratch arena, launches the first wave
 /// of blocks and drains the simulation kernel — monomorphized per queue
-/// kind. (The argument list is the engine's full context on purpose:
-/// bundling it into a struct would just move the same fields one level
-/// down.)
+/// kind. With `forks`, the run is a family's dominant member and checks
+/// before every dispatch whether another member must fork off here.
+/// (The argument list is the engine's full context on purpose: bundling
+/// it into a struct would just move the same fields one level down.)
 #[allow(clippy::too_many_arguments)]
-fn simulate_on<Q: SimQueue>(
+fn simulate_on<Q: SimQueue + Clone>(
     spec: &GpuSpec,
     plan: &ExecutablePlan,
     active_sms: u32,
@@ -764,6 +808,7 @@ fn simulate_on<Q: SimQueue>(
     prog: &CompiledProgram,
     st: &mut EngineState,
     queue: &mut Q,
+    forks: Option<&mut family::Forks<'_>>,
 ) -> Result<KernelRun, SimError> {
     let occupancy = plan.occupancy(spec);
     if occupancy == 0 {
@@ -813,7 +858,16 @@ fn simulate_on<Q: SimQueue>(
         }
         eng.launch_next_block(&mut sim, 0.0);
     }
-    sim.run(&mut eng);
+    match forks {
+        None => sim.run(&mut eng),
+        Some(forks) => {
+            while let Some((event, hint)) = sim.pop_hinted() {
+                forks.before_dispatch(&sim, &eng, event, hint);
+                sim.dispatch(&mut eng, event, hint);
+                forks.after_dispatch(&eng);
+            }
+        }
+    }
     eng.into_run()
 }
 
@@ -824,6 +878,7 @@ fn run_with_scratch(
     active_sms: u32,
     sink: &dyn TraceSink,
     options: EngineOptions,
+    forks: Option<&mut family::Forks<'_>>,
 ) -> Result<KernelRun, SimError> {
     let prog = plan.compiled_for(spec);
     let issue_cost = spec.issue_cost_per_op / spec.issue_slots_per_cycle;
@@ -835,12 +890,14 @@ fn run_with_scratch(
     match options.queue {
         QueueKind::Heap => {
             heap.reset();
-            simulate_on(spec, plan, active_sms, sink, options, &prog, state, heap)
+            simulate_on(
+                spec, plan, active_sms, sink, options, &prog, state, heap, forks,
+            )
         }
         QueueKind::Calendar => {
             calendar.reset(issue_cost * BUCKET_WIDTH_ISSUE_COSTS);
             simulate_on(
-                spec, plan, active_sms, sink, options, &prog, state, calendar,
+                spec, plan, active_sms, sink, options, &prog, state, calendar, forks,
             )
         }
     }
@@ -927,19 +984,17 @@ pub fn simulate_with_options(
     sink: &dyn TraceSink,
     options: EngineOptions,
 ) -> Result<KernelRun, SimError> {
+    with_scratch(|scratch| run_with_scratch(scratch, spec, plan, active_sms, sink, options, None))
+}
+
+/// Runs `f` on this thread's engine arena.
+fn with_scratch<R>(f: impl FnOnce(&mut EngineScratch) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => run_with_scratch(&mut scratch, spec, plan, active_sms, sink, options),
+        Ok(mut scratch) => f(&mut scratch),
         // A trace sink that re-enters the simulator mid-run finds the
         // thread-local busy; fall back to a fresh arena for the nested
         // run rather than failing.
-        Err(_) => run_with_scratch(
-            &mut EngineScratch::default(),
-            spec,
-            plan,
-            active_sms,
-            sink,
-            options,
-        ),
+        Err(_) => f(&mut EngineScratch::default()),
     })
 }
 #[cfg(test)]

@@ -160,7 +160,7 @@ impl Ord for Event {
 }
 
 /// The reference min-queue over `(time, seq)`.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct HeapQueue {
     heap: BinaryHeap<Event>,
 }
@@ -228,7 +228,7 @@ const CALENDAR_BUCKETS: usize = 512;
 /// with the rung minimum (the rung is kept lazily sorted) and takes the
 /// global key minimum, keeping the drain order exactly the heap's. The
 /// rung is empty for typical plans, so the check is one branch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CalendarQueue {
     width: f64,
     /// `1 / width`: bucketing multiplies instead of divides. Any

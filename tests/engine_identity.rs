@@ -9,12 +9,23 @@
 //! DRAM bytes) and on the micro-event count; with macro-stepping off,
 //! pop counts must equal event counts. Traced runs must additionally
 //! emit identical event streams into a recording sink.
+//!
+//! A family of fused launches run through `Device::run_family` must
+//! return, launch for launch, what independent simulations return, and
+//! move the device's counters as the same launches run one by one would.
+//! (The engine-level family property, over both queue kinds, lives next
+//! to the crate-private family engine in `tacker-sim`.)
 
 use proptest::prelude::*;
 use tacker_kernel::ast::{ComputeUnit, MemDir, MemSpace};
 use tacker_kernel::{BlockProgram, Op, ResourceUsage, WarpProgram, WarpRole};
+
+use tacker_fuser::{fuse_flexible, FusionConfig};
+use tacker_kernel::ast::{Expr, Stmt};
+use tacker_kernel::{Bindings, Dim3, KernelDef, KernelKind, KernelLaunch};
 use tacker_sim::{
-    simulate_with_options, EngineOptions, ExecutablePlan, GpuSpec, KernelRun, QueueKind, SimError,
+    simulate, simulate_with_options, Device, EngineOptions, ExecutablePlan, GpuSpec, KernelRun,
+    QueueKind, SimError,
 };
 use tacker_trace::{NoopSink, RingSink};
 
@@ -181,6 +192,111 @@ proptest! {
             prop_assert_eq!(run.clone(), reference.clone(), "{:?}", opts);
             prop_assert_eq!(sink.events(), reference_events.clone(), "{:?}", opts);
         }
+    }
+}
+
+/// A random fused pair from `seed` and 2–7 launches of it that differ in
+/// the CUDA grid (repeats, grids below `sm_count` and CUDA parts too small
+/// to reach every SM-0 block included), or `None` when the random pair
+/// does not fit the fusion ratio.
+fn random_fused_family(spec: &GpuSpec, seed: u64) -> Option<Vec<KernelLaunch>> {
+    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let sync = |s: &mut u64| xorshift(s).is_multiple_of(2);
+    let mut tc_body = vec![Stmt::global_load(
+        "a",
+        Expr::lit(16 + xorshift(&mut s) % 128),
+        0.8,
+    )];
+    if sync(&mut s) {
+        tc_body.push(Stmt::sync_threads());
+    }
+    tc_body.push(Stmt::compute_tc(
+        Expr::lit(64 + xorshift(&mut s) % 512),
+        "mma",
+    ));
+    if sync(&mut s) {
+        tc_body.push(Stmt::sync_threads());
+    }
+    let tc = KernelDef::builder("tc", KernelKind::Tensor)
+        .block_dim(Dim3::x(128))
+        .resources(ResourceUsage::new(48, 1024 * (xorshift(&mut s) % 16)))
+        .param("k_iters")
+        .body(vec![Stmt::loop_over("k", Expr::param("k_iters"), tc_body)])
+        .build()
+        .expect("tc kernel");
+    let mut cd_body = vec![
+        Stmt::global_load("x", Expr::lit(8 + xorshift(&mut s) % 64), 0.5),
+        Stmt::compute_cd(Expr::lit(16 + xorshift(&mut s) % 256), "butterfly"),
+    ];
+    if sync(&mut s) {
+        cd_body.push(Stmt::sync_threads());
+    }
+    cd_body.push(Stmt::global_store(
+        "y",
+        Expr::lit(8 + xorshift(&mut s) % 64),
+        0.0,
+    ));
+    let cd = KernelDef::builder("cd", KernelKind::Cuda)
+        .block_dim(Dim3::x(if sync(&mut s) { 128 } else { 256 }))
+        .resources(ResourceUsage::new(32, 1024 * (xorshift(&mut s) % 8)))
+        .body(cd_body)
+        .build()
+        .expect("cd kernel");
+    let config = FusionConfig {
+        tc_blocks: 1 + (xorshift(&mut s) % 2) as u32,
+        cd_blocks: 1 + (xorshift(&mut s) % 2) as u32,
+    };
+    let fused = fuse_flexible(&tc, &cd, config, &spec.sm).ok()?;
+    let tc_grid = 1 + xorshift(&mut s) % 4_000;
+    let mut tc_bindings = Bindings::new();
+    tc_bindings.insert("k_iters".into(), 1 + xorshift(&mut s) % 8);
+    let members = 2 + (xorshift(&mut s) % 6) as usize;
+    let mut grids: Vec<u64> = Vec::new();
+    for _ in 0..members {
+        let grid = match (xorshift(&mut s) % 5, grids.last()) {
+            (0, Some(&prev)) => prev,
+            (1, _) => 1 + xorshift(&mut s) % 68,
+            _ => 1 + xorshift(&mut s) % 8_000,
+        };
+        grids.push(grid);
+    }
+    Some(
+        grids
+            .into_iter()
+            .map(|g| fused.launch(tc_grid, g, &tc_bindings, &Bindings::new()))
+            .collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `Device::run_family` returns each launch's own simulation and
+    /// counts hits and misses as the launches run one by one would.
+    #[test]
+    fn device_families_match_independent_runs(seed in 0u64..1_000_000) {
+        let spec = GpuSpec::rtx2080ti();
+        let Some(launches) = random_fused_family(&spec, seed) else {
+            return Ok(());
+        };
+        let family = Device::new(spec.clone());
+        let one_by_one = Device::new(spec.clone());
+        let runs = family.run_family(&launches);
+        for (launch, got) in launches.iter().zip(runs) {
+            let own = ExecutablePlan::from_launch(&spec, launch)
+                .and_then(|plan| simulate(&spec, &plan));
+            prop_assert_eq!(got.map(|run| KernelRun::clone(&run)), own);
+            let _ = one_by_one.run_launch(launch);
+        }
+        prop_assert_eq!(family.cache_stats(), one_by_one.cache_stats());
+        prop_assert_eq!(family.fused_cache_stats(), one_by_one.fused_cache_stats());
+        // A second pass is all hits, shared with the first.
+        for got in family.run_family(&launches) {
+            prop_assert!(got.is_ok());
+        }
+        let (hits, misses) = family.cache_stats();
+        prop_assert_eq!(misses, one_by_one.cache_stats().1);
+        prop_assert_eq!(hits, one_by_one.cache_stats().0 + launches.len() as u64);
     }
 }
 

@@ -81,6 +81,52 @@ fn two_by_three_sweep_is_identical_at_jobs_1_and_4() {
     }
 }
 
+/// The per-cell outcome two sweeps must agree on.
+fn assert_same_cells(a: &[SweepCell], b: &[SweepCell], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}");
+    for (x, y) in a.iter().zip(b) {
+        let tag = format!("{what}: {}+{} {:?}", x.lc, x.be, x.policy);
+        assert_eq!(
+            (x.lc.as_str(), x.be.as_str(), x.policy),
+            (y.lc.as_str(), y.be.as_str(), y.policy),
+            "{tag}"
+        );
+        assert_eq!(
+            x.report.query_latencies(),
+            y.report.query_latencies(),
+            "{tag}"
+        );
+        assert_eq!(x.report.fused_launches, y.report.fused_launches, "{tag}");
+        assert_eq!(x.report.be_work, y.report.be_work, "{tag}");
+        assert_eq!(x.report.be_kernels, y.report.be_kernels, "{tag}");
+        assert_eq!(x.report.wall, y.report.wall, "{tag}");
+    }
+}
+
+/// Real cells — the paper's ResNext and Densenet against two training
+/// BE apps — prepare fused pairs from cold devices, which is where a cell
+/// once fanned its ratio profiling out over threads sharing the run's
+/// profiler (and where that race showed in the Fig. 14 grid). A sweep
+/// must print the same reports at any jobs count and on every run.
+#[test]
+fn real_cells_are_identical_across_jobs_and_runs() {
+    let config = ExperimentConfig::default().with_queries(40);
+    let scratch = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+    let lcs = ["ResNext", "Densenet"]
+        .map(|name| tacker_workloads::lc_service(name, &scratch).expect("LC service"));
+    let bes = ["VGG-T", "Dense-T"].map(|name| tacker_workloads::be_app(name).expect("BE app"));
+    let sweep = |jobs| {
+        let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+        run_pair_sweep(&device, &lcs, &bes, &[Policy::Tacker], &config, jobs).unwrap()
+    };
+    let serial = sweep(1);
+    assert_eq!(serial.len(), 4);
+    assert!(serial.iter().any(|c| c.report.fused_launches > 0));
+    for run in 1..=2 {
+        assert_same_cells(&serial, &sweep(2), &format!("jobs=2 run {run}"));
+    }
+}
+
 /// Sharing one device between a serial and a parallel sweep must not
 /// change results either: memoization is exact, so warm caches only make
 /// runs faster, never different.
