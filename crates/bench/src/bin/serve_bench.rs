@@ -32,7 +32,7 @@ use std::sync::Arc;
 use tacker::prelude::*;
 use tacker_bench::rtx2080ti;
 use tacker_kernel::SimTime;
-use tacker_trace::{prometheus_text, timeseries_jsonl, RingSink, TraceEvent, TraceSink};
+use tacker_trace::{timeseries_jsonl, RingSink, TraceEvent, TraceSink};
 use tacker_workloads::{BeApp, LcService};
 
 const QUERIES: usize = 60;
@@ -220,7 +220,7 @@ fn telemetry_overhead_pct(
     plain();
     let report = telemetry_run();
     let render_start = std::time::Instant::now();
-    std::hint::black_box(prometheus_text(&report.metrics));
+    std::hint::black_box(report.prometheus_text());
     std::hint::black_box(timeseries_jsonl(&report.windows));
     let render_ms = render_start.elapsed().as_secs_f64() * 1e3;
     let timed = |f: &dyn Fn()| {
@@ -252,8 +252,9 @@ fn telemetry_overhead_pct(
 }
 
 /// Steady-state serve throughput (queries/s): `n` warm queries arriving
-/// at a comfortable 700µs spacing — every query alone in flight, the
-/// fast path's home turf — with sketch-mode latency stats and no BE.
+/// at a comfortable 700µs spacing — every query alone in flight and
+/// served by the busy-period replay — with sketch-mode latency stats and
+/// no BE.
 /// One untimed warm pass, then the best of `reps` timed passes (the
 /// minimum-time estimator; host noise only ever inflates a measurement).
 fn steady_qps(device: &Arc<tacker_sim::Device>, lc: &LcService, n: usize, reps: usize) -> f64 {
@@ -382,7 +383,7 @@ fn main() {
          exporter render {render_ms:.2}ms one-shot"
     );
 
-    eprintln!("steady-state fast path ...");
+    eprintln!("steady-state replay ...");
     let queries_per_sec = steady_qps(&device, &tiny, 20_000, 5);
     let steady_speedup = queries_per_sec / BASELINE_STEADY_QPS;
     // RSS flatness at 100× queries: snapshot the peak RSS after a

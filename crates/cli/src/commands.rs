@@ -74,8 +74,8 @@ application resident on every node. `--dispatch-us N` charges a constant
 dispatcher hop per query. `--compare` runs all four dispatch policies over
 identical arrival streams and prints one row per policy.
 
-`--metrics-out <path>` writes the run's metrics registry (counters, gauges
-and latency histograms) as Prometheus text exposition. `--timeseries-out
+`--metrics-out <path>` writes the run's metrics (counters, gauges and
+latency summaries) as Prometheus text exposition. `--timeseries-out
 <path>` enables windowed telemetry and writes one JSON object per non-empty
 window (utilization, headroom, guard level, arrivals/violations, cache hit
 rate); `--window-us N` sets the window width (default 1000, implies
@@ -405,7 +405,7 @@ fn serve(flags: &Flags) -> Result<(), String> {
         write_chrome_trace(ring, path)?;
     }
     if let Some(path) = flags.get("metrics-out") {
-        std::fs::write(path, tacker_trace::prometheus_text(&report.metrics))
+        std::fs::write(path, report.prometheus_text())
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote Prometheus metrics to {path}");
     }

@@ -185,6 +185,9 @@ impl FaultPlan {
     /// * `seed:<n>`
     /// * `none` — the empty plan
     ///
+    /// Multipliers must be finite and positive, fractions within
+    /// `[0, 1]`, and flood kernel counts positive.
+    ///
     /// # Errors
     ///
     /// Returns [`TackerError::Config`] on any malformed clause.
@@ -192,8 +195,19 @@ impl FaultPlan {
         let bad = |clause: &str| TackerError::Config {
             reason: format!("bad fault clause {clause:?} (see `--faults` usage)"),
         };
+        let invalid = |clause: &str, rule: &str| TackerError::Config {
+            reason: format!("bad fault clause {clause:?}: {rule}"),
+        };
         let f64_of = |clause: &str, v: &str| v.parse::<f64>().map_err(|_| bad(clause));
         let u64_of = |clause: &str, v: &str| v.parse::<u64>().map_err(|_| bad(clause));
+        let multiplier_of = |clause: &str, v: &str| match f64_of(clause, v)? {
+            m if m.is_finite() && m > 0.0 => Ok(m),
+            _ => Err(invalid(clause, "the multiplier must be finite and > 0")),
+        };
+        let fraction_of = |clause: &str, v: &str| match f64_of(clause, v)? {
+            f if (0.0..=1.0).contains(&f) => Ok(f),
+            _ => Err(invalid(clause, "the fraction must lie in [0, 1]")),
+        };
         let mut plan = FaultPlan::default();
         for clause in s.split(',').map(str::trim).filter(|c| !c.is_empty()) {
             let parts: Vec<&str> = clause.split(':').collect();
@@ -202,20 +216,24 @@ impl FaultPlan {
                 ["seed", v] => plan.seed = u64_of(clause, v)?,
                 ["mispredict", m, f] => {
                     plan.mispredict = Some(MispredictFault {
-                        multiplier: f64_of(clause, m)?,
-                        fraction: f64_of(clause, f)?,
+                        multiplier: multiplier_of(clause, m)?,
+                        fraction: fraction_of(clause, f)?,
                     });
                 }
                 ["straggler", m, f] => {
                     plan.straggler = Some(StragglerFault {
-                        multiplier: f64_of(clause, m)?,
-                        fraction: f64_of(clause, f)?,
+                        multiplier: multiplier_of(clause, m)?,
+                        fraction: fraction_of(clause, f)?,
                     });
                 }
                 ["flood", at, k] => {
+                    let kernels: u32 = u64_of(clause, k)?.try_into().map_err(|_| bad(clause))?;
+                    if kernels == 0 {
+                        return Err(invalid(clause, "the kernel count must be > 0"));
+                    }
                     plan.be_floods.push(FloodBurst {
                         at: SimTime::from_millis(u64_of(clause, at)?),
-                        kernels: u64_of(clause, k)?.try_into().map_err(|_| bad(clause))?,
+                        kernels,
                     });
                 }
                 ["outage", start, dur] => {
@@ -299,5 +317,25 @@ mod tests {
         assert!(FaultPlan::parse("").unwrap().is_zero());
         assert!(FaultPlan::parse("bogus:1").is_err());
         assert!(FaultPlan::parse("mispredict:x:0.2").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_out_of_range_values() {
+        for bad in [
+            "mispredict:-3:0.5",
+            "mispredict:nan:2",
+            "mispredict:0:0.5",
+            "mispredict:inf:0.5",
+            "mispredict:1.5:1.5",
+            "mispredict:1.5:-0.1",
+            "straggler:nan:0.1",
+            "straggler:4:nan",
+            "flood:20:0",
+        ] {
+            let err = FaultPlan::parse(bad).expect_err(bad);
+            assert!(matches!(err, TackerError::Config { .. }), "{bad}: {err}");
+        }
+        // The bounds themselves are valid.
+        assert!(FaultPlan::parse("mispredict:0.5:0,straggler:2:1,flood:0:1").is_ok());
     }
 }

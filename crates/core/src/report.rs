@@ -8,12 +8,11 @@
 //! no queries.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use tacker_kernel::SimTime;
 use tacker_sim::TimelineRecorder;
 use tacker_trace::timeseries::WindowRow;
-use tacker_trace::{Histogram, MetricsRegistry};
+use tacker_trace::MetricsRegistry;
 
 use crate::guard::GuardLevel;
 use crate::manager::Policy;
@@ -29,9 +28,6 @@ pub struct ServiceReport {
     pub latency: LatencyStats,
     /// Queries that missed the QoS target.
     pub qos_violations: usize,
-    /// Streaming latency histogram (microseconds), shared with the run's
-    /// metrics registry under `query_latency_us.<service>`.
-    pub latency_histogram: Arc<Histogram>,
 }
 
 impl ServiceReport {
@@ -171,12 +167,9 @@ pub struct RunReport {
     pub model_refreshes: u64,
     /// Device activity timeline, when recording was enabled.
     pub timeline: Option<TimelineRecorder>,
-    /// Streaming latency histogram over all services (microseconds).
-    /// Bounded-memory observability view; QoS gating still uses the exact
-    /// sample-based percentiles.
-    pub latency_histogram: Arc<Histogram>,
-    /// Run-level metrics: decision counters, injection-budget gauge, and
-    /// the per-service latency histograms.
+    /// Run-level metrics: decision and violation counters and the
+    /// injection-budget gauge. [`RunReport::prometheus_text`] adds the
+    /// latency summaries.
     pub metrics: MetricsRegistry,
     /// QoS-guard ladder steps taken (0 when the guard was off or never
     /// tripped).
@@ -213,7 +206,7 @@ impl RunReport {
     pub fn query_latencies(&self) -> Vec<SimTime> {
         self.services
             .iter()
-            .flat_map(|s| s.latency.samples().iter().copied())
+            .flat_map(|s| s.latency.samples())
             .collect()
     }
 
@@ -257,6 +250,21 @@ impl RunReport {
         self.services.iter().all(|s| s.qos_violations == 0)
     }
 
+    /// The run's metrics in the Prometheus text exposition format: the
+    /// registry's counters and gauges, plus `query_latency_us` summaries
+    /// (over all services, and per service) rendered from the latency
+    /// statistics' quantile sketches.
+    pub fn prometheus_text(&self) -> String {
+        let mut latencies = vec![("query_latency_us".to_string(), self.latency.to_sketch())];
+        latencies.extend(self.services.iter().map(|s| {
+            (
+                format!("query_latency_us.{}", s.name),
+                s.latency.to_sketch(),
+            )
+        }));
+        tacker_trace::export::prometheus_text_with_latencies(&self.metrics, &latencies)
+    }
+
     /// Fraction of wall time the device was executing kernels (0 when
     /// nothing ran).
     pub fn utilization(&self) -> f64 {
@@ -282,7 +290,6 @@ mod tests {
             name: name.to_string(),
             latency,
             qos_violations: violations,
-            latency_histogram: Arc::new(Histogram::new()),
         }
     }
 
@@ -290,7 +297,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let mut latency = LatencyStats::exact();
         for s in &services {
-            for &t in s.latency.samples() {
+            for t in s.latency.samples() {
                 latency.observe(t);
             }
         }
@@ -306,7 +313,6 @@ mod tests {
             busy: SimTime::ZERO,
             model_refreshes: 0,
             timeline: None,
-            latency_histogram: registry.histogram("query_latency_us"),
             metrics: registry,
             guard_steps: 0,
             faults_injected: 0,

@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::MetricsRegistry;
+use crate::quantile::QuantileSketch;
 use crate::timeseries::WindowRow;
 
 /// Quantiles every histogram family exposes.
@@ -80,6 +81,18 @@ fn series_name(family: &str, service: &Option<String>, extra: Option<(&str, &str
 /// counters and gauges as-is, histograms as summaries. Deterministic for
 /// a given registry state.
 pub fn prometheus_text(registry: &MetricsRegistry) -> String {
+    prometheus_text_with_latencies(registry, &[])
+}
+
+/// Renders the registry as [`prometheus_text`] does, plus one summary
+/// series per `(name, sketch)` in `latencies`: nanosecond samples exposed
+/// in microseconds (the `_us` families), under the registry's naming
+/// convention. A run report renders its latency statistics this way
+/// instead of keeping a histogram beside them.
+pub fn prometheus_text_with_latencies(
+    registry: &MetricsRegistry,
+    latencies: &[(String, QuantileSketch)],
+) -> String {
     let mut out = String::new();
 
     // Group (family -> series) so `# TYPE` renders once per family even
@@ -111,27 +124,39 @@ pub fn prometheus_text(registry: &MetricsRegistry) -> String {
     }
 
     let mut summary_families: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for (name, h) in registry.histograms() {
-        let (family, svc) = split_service(&name);
+    let mut summary = |name: &str, quantile: &dyn Fn(f64) -> f64, sum: f64, count: u64| {
+        let (family, svc) = split_service(name);
         let mut lines = Vec::with_capacity(QUANTILES.len() + 2);
         for (q, tag) in QUANTILES {
             lines.push(format!(
                 "{} {:.3}",
                 series_name(&family, &svc, Some(("quantile", tag))),
-                h.percentile(q)
+                quantile(q)
             ));
         }
         lines.push(format!(
             "{} {:.3}",
             series_name(&format!("{family}_sum"), &svc, None),
-            h.sum()
+            sum
         ));
         lines.push(format!(
             "{} {}",
             series_name(&format!("{family}_count"), &svc, None),
-            h.count()
+            count
         ));
         summary_families.entry(family).or_default().extend(lines);
+    };
+    for (name, h) in registry.histograms() {
+        summary(&name, &|q| h.percentile(q), h.sum(), h.count());
+    }
+    for (name, s) in latencies {
+        let us = |ns: u64| ns as f64 / 1e3;
+        summary(
+            name,
+            &|q| s.percentile(q).map_or(0.0, us),
+            s.sum() as f64 / 1e3,
+            s.count(),
+        );
     }
     for (family, lines) in summary_families {
         let _ = writeln!(out, "# TYPE {family} summary");
@@ -377,6 +402,32 @@ mod tests {
         );
         // Deterministic: rendering twice is byte-identical.
         assert_eq!(text, prometheus_text(&reg));
+    }
+
+    #[test]
+    fn latency_sketches_render_as_microsecond_summaries() {
+        let reg = MetricsRegistry::new();
+        reg.counter("decisions").inc();
+        let mut sketch = QuantileSketch::new();
+        for ns in [100_000u64, 200_000, 300_000, 400_000] {
+            sketch.observe(ns);
+        }
+        let text =
+            prometheus_text_with_latencies(&reg, &[("query_latency_us.svcA".into(), sketch)]);
+        assert!(text.starts_with(&prometheus_text(&reg)), "{text}");
+        assert!(
+            text.contains("tacker_query_latency_us{service=\"svcA\",quantile=\"0.999\"} 400.000"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tacker_query_latency_us_sum{service=\"svcA\"} 1000.000"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tacker_query_latency_us_count{service=\"svcA\"} 4"),
+            "{text}"
+        );
+        assert!(summarize(&text).is_ok());
     }
 
     #[test]

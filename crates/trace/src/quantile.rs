@@ -83,36 +83,89 @@ impl PartialEq for QuantileSketch {
 
 impl Eq for QuantileSketch {}
 
-/// Per-bucket counts: `u16` until a bucket would overflow, then `u64`.
+/// Per-bucket counts over a stored range of bucket indexes, `offset..`
+/// `offset + len`; every bucket outside it holds zero. The range is the
+/// whole budget until [`QuantileSketch::shrink_to_fit`] trims it to the
+/// occupied buckets, and the first later write restores it.
+#[derive(Clone)]
+struct Counts {
+    offset: usize,
+    store: Store,
+}
+
+/// Stored counts: `u16` until a bucket would overflow, then `u64`.
 /// Latency sketches rarely see 65,536 samples in one 1%-wide bucket, and
 /// reports that keep many sketches keep them at a quarter of the size.
 #[derive(Clone)]
-enum Counts {
+enum Store {
     Narrow(Box<[u16]>),
     Wide(Box<[u64]>),
 }
 
-impl Counts {
-    fn get(&self, i: usize) -> u64 {
+impl Store {
+    fn len(&self) -> usize {
         match self {
-            Counts::Narrow(c) => u64::from(c[i]),
-            Counts::Wide(c) => c[i],
+            Store::Narrow(c) => c.len(),
+            Store::Wide(c) => c.len(),
         }
     }
 
-    /// The counts as `u64`s, converting the storage on first use.
-    fn widen(&mut self) -> &mut [u64] {
-        if let Counts::Narrow(c) = self {
-            *self = Counts::Wide(c.iter().map(|&n| u64::from(n)).collect());
-        }
+    fn get(&self, j: usize) -> u64 {
         match self {
-            Counts::Wide(c) => c,
-            Counts::Narrow(_) => unreachable!("widened above"),
+            Store::Narrow(c) => u64::from(c[j]),
+            Store::Wide(c) => c[j],
+        }
+    }
+}
+
+impl Counts {
+    fn new() -> Counts {
+        Counts {
+            offset: 0,
+            store: Store::Narrow(vec![0; BUCKETS].into_boxed_slice()),
+        }
+    }
+
+    fn get(&self, i: usize) -> u64 {
+        match i.checked_sub(self.offset) {
+            Some(j) if j < self.store.len() => self.store.get(j),
+            _ => 0,
+        }
+    }
+
+    /// `(bucket, count)` over the stored range, in bucket order.
+    fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (0..self.store.len()).map(|j| (self.offset + j, self.store.get(j)))
+    }
+
+    /// Restores the whole budget after a trim, keeping every count.
+    fn expand(&mut self) {
+        if self.offset == 0 && self.store.len() == BUCKETS {
+            return;
+        }
+        self.store = match &self.store {
+            Store::Narrow(_) => Store::Narrow((0..BUCKETS).map(|i| self.get(i) as u16).collect()),
+            Store::Wide(_) => Store::Wide((0..BUCKETS).map(|i| self.get(i)).collect()),
+        };
+        self.offset = 0;
+    }
+
+    /// The counts as `u64`s over the whole budget, converting the
+    /// storage on first use.
+    fn widen(&mut self) -> &mut [u64] {
+        self.expand();
+        if let Store::Narrow(c) = &self.store {
+            self.store = Store::Wide(c.iter().map(|&n| u64::from(n)).collect());
+        }
+        match &mut self.store {
+            Store::Wide(c) => c,
+            Store::Narrow(_) => unreachable!("widened above"),
         }
     }
 
     fn add(&mut self, i: usize, n: u64) {
-        if let Counts::Narrow(c) = self {
+        self.expand();
+        if let Store::Narrow(c) = &mut self.store {
             if let Some(sum) = u16::try_from(n).ok().and_then(|n| c[i].checked_add(n)) {
                 c[i] = sum;
                 return;
@@ -122,7 +175,9 @@ impl Counts {
     }
 
     fn merge(&mut self, other: &Counts) {
-        if let (Counts::Narrow(a), Counts::Narrow(b)) = (&mut *self, other) {
+        self.expand();
+        if let (Store::Narrow(a), Store::Narrow(b)) = (&mut self.store, &other.store) {
+            let a = &mut a[other.offset..other.offset + b.len()];
             if a.iter()
                 .zip(b.iter())
                 .all(|(x, y)| x.checked_add(*y).is_some())
@@ -131,15 +186,27 @@ impl Counts {
                 return;
             }
         }
-        for (i, x) in self.widen().iter_mut().enumerate() {
-            *x += other.get(i);
+        let wide = self.widen();
+        for (i, n) in other.iter() {
+            wide[i] += n;
         }
     }
 
+    /// Trims the stored range to buckets `range` (which must hold every
+    /// non-zero count).
+    fn trim(&mut self, range: std::ops::Range<usize>) {
+        let (lo, hi) = (range.start - self.offset, range.end - self.offset);
+        self.store = match &self.store {
+            Store::Narrow(c) => Store::Narrow(c[lo..hi].into()),
+            Store::Wide(c) => Store::Wide(c[lo..hi].into()),
+        };
+        self.offset = range.start;
+    }
+
     fn bytes(&self) -> usize {
-        match self {
-            Counts::Narrow(c) => std::mem::size_of_val::<[u16]>(c),
-            Counts::Wide(c) => std::mem::size_of_val::<[u64]>(c),
+        match &self.store {
+            Store::Narrow(c) => std::mem::size_of_val::<[u16]>(c),
+            Store::Wide(c) => std::mem::size_of_val::<[u64]>(c),
         }
     }
 }
@@ -169,7 +236,7 @@ impl QuantileSketch {
     /// An empty sketch.
     pub fn new() -> Self {
         QuantileSketch {
-            counts: Counts::Narrow(vec![0; BUCKETS].into_boxed_slice()),
+            counts: Counts::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -243,8 +310,8 @@ impl QuantileSketch {
             return Some(self.max);
         }
         let mut seen = 0u64;
-        for i in 0..BUCKETS {
-            seen += self.counts.get(i);
+        for (i, n) in self.counts.iter() {
+            seen += n;
             if seen >= rank {
                 let mid = Self::bucket_mid(i).round() as u64;
                 return Some(mid.clamp(self.min, self.max));
@@ -267,9 +334,27 @@ impl QuantileSketch {
 
     /// Memory footprint of the bucket array plus scalars: ≈ 8 KiB, or
     /// ≈ 32 KiB once a bucket has passed `u16::MAX` samples — independent
-    /// of how many samples were observed otherwise.
+    /// of how many samples were observed otherwise — until
+    /// [`QuantileSketch::shrink_to_fit`] trims it.
     pub fn memory_bytes(&self) -> usize {
         self.counts.bytes() + std::mem::size_of::<Self>()
+    }
+
+    /// Releases the storage of the empty buckets below the smallest and
+    /// above the largest sample, for a sketch that will take few or no
+    /// more samples (a finished run's report): a latency distribution
+    /// spanning one decade keeps ≈ 230 buckets instead of 4096. Changes
+    /// no count, quantile or equality; the next `observe` or `merge`
+    /// restores the full budget.
+    pub fn shrink_to_fit(&mut self) {
+        // Bucket indexes are monotone in the value, so the exact extremes
+        // bound the occupied range.
+        let range = if self.count == 0 {
+            self.counts.offset..self.counts.offset
+        } else {
+            Self::bucket_index(self.min)..Self::bucket_index(self.max) + 1
+        };
+        self.counts.trim(range);
     }
 }
 
@@ -385,8 +470,8 @@ mod tests {
             let copy = big.clone();
             big.merge(&copy);
         }
-        assert!(matches!(big.counts, Counts::Wide(_)), "counts widened");
-        assert!(matches!(small.counts, Counts::Narrow(_)));
+        assert!(matches!(big.counts.store, Store::Wide(_)), "counts widened");
+        assert!(matches!(small.counts.store, Store::Narrow(_)));
         assert!(big.memory_bytes() > small.memory_bytes());
         assert_eq!(big.count(), 4 << 32);
         assert_eq!(big.sum(), small.sum() << 32);
@@ -403,7 +488,7 @@ mod tests {
         wide_first.merge(&small);
         let mut narrow_first = small.clone();
         narrow_first.merge(&big);
-        assert!(matches!(narrow_first.counts, Counts::Wide(_)));
+        assert!(matches!(narrow_first.counts.store, Store::Wide(_)));
         assert_eq!(wide_first, narrow_first);
         assert_eq!(wide_first.count(), (4 << 32) + 4);
         let mut widened = small.clone();
@@ -412,9 +497,45 @@ mod tests {
         // A single bucket crossing u16::MAX widens through `add` too.
         let mut edge = QuantileSketch::new();
         edge.counts.add(bucket, u64::from(u16::MAX));
-        assert!(matches!(edge.counts, Counts::Narrow(_)));
+        assert!(matches!(edge.counts.store, Store::Narrow(_)));
         edge.counts.add(bucket, 1);
         assert_eq!(edge.counts.get(bucket), 1 << 16);
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_the_distribution() {
+        let samples: Vec<u64> = (0..5_000u64).map(|i| 2_000_000 + i * 7_919).collect();
+        let mut full = QuantileSketch::new();
+        for &v in &samples {
+            full.observe(v);
+        }
+        let mut trimmed = full.clone();
+        trimmed.shrink_to_fit();
+        assert!(trimmed.memory_bytes() * 4 < full.memory_bytes());
+        assert_eq!(trimmed, full);
+        for p in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(trimmed.percentile(p), full.percentile(p), "p={p}");
+        }
+        // Writes after a trim see the whole budget again.
+        let mut other = QuantileSketch::new();
+        other.observe(3);
+        other.observe(1 << 40);
+        other.shrink_to_fit();
+        let mut union = full.clone();
+        union.merge(&other);
+        let mut merged = trimmed.clone();
+        merged.merge(&other);
+        assert_eq!(merged, union);
+        trimmed.observe(5);
+        full.observe(5);
+        assert_eq!(trimmed, full);
+        assert_eq!(trimmed.percentile(0.0), full.percentile(0.0));
+        // An empty sketch trims to nothing and still works.
+        let mut empty = QuantileSketch::new();
+        empty.shrink_to_fit();
+        assert_eq!(empty.percentile(0.5), None);
+        empty.observe(9);
+        assert_eq!(empty.percentile(0.5), Some(9));
     }
 
     #[test]

@@ -245,8 +245,18 @@ pub struct TestRunner {
 }
 
 impl TestRunner {
-    /// Creates a runner with the given config.
-    pub fn new(config: ProptestConfig) -> TestRunner {
+    /// Creates a runner with the given config. A `PROPTEST_CASES`
+    /// environment variable raises the case count (it never lowers it),
+    /// so CI can run a property file deeper without editing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `PROPTEST_CASES` is set but not a number.
+    pub fn new(mut config: ProptestConfig) -> TestRunner {
+        if let Ok(raw) = std::env::var("PROPTEST_CASES") {
+            let cases: u32 = raw.parse().expect("PROPTEST_CASES expects a number");
+            config.cases = config.cases.max(cases);
+        }
         let rng = TestRng::seed_from_u64(config.seed);
         TestRunner { config, rng }
     }

@@ -155,4 +155,41 @@ proptest! {
             }
         }
     }
+
+    /// The busy-period replay is invisible at fleet scale: an LC-only
+    /// fleet (guard armed, windowed telemetry on) reports the same bytes
+    /// with the replay on and off — every device report, the per-service
+    /// merges and the dispatcher's accounting.
+    #[test]
+    fn fleet_reports_are_replay_invariant(
+        seed in 0u64..1000,
+        gemm_m in 1024u64..4096,
+        policy_ix in 0usize..4,
+        devices in 1usize..4,
+    ) {
+        let lcs = [lc_service(gemm_m), lc_service(gemm_m / 2 + 512)];
+        let config = ExperimentConfig::default()
+            .with_queries(16)
+            .with_seed(seed)
+            .with_jobs(1);
+        let run = |fast: bool| {
+            FleetRun::new(heterogeneous_fleet(devices), &config, &lcs)
+                .expect("fleet")
+                .device_policy(Policy::LcOnly)
+                .dispatch_policy(DispatchPolicy::ALL[policy_ix])
+                .guarded(GuardConfig::default())
+                .windowed(tacker_kernel::SimTime::from_millis(1))
+                .steady_fast_path(fast)
+                .run()
+                .expect("fleet")
+        };
+        let text = |r: &FleetReport| {
+            let mut t = format!("{r:?}");
+            for dev in r.devices.iter().filter_map(|d| d.report.as_ref()) {
+                t.push_str(&dev.prometheus_text());
+            }
+            t
+        };
+        prop_assert_eq!(text(&run(true)), text(&run(false)));
+    }
 }

@@ -244,13 +244,13 @@ fn traced_colocation_exports_decisions_with_predicted_vs_actual() {
         .iter()
         .any(|e| matches!(e, TraceEvent::QueryCompleted { .. })));
 
-    // The registry mirrors the stream: one decision counter tick per
-    // decision event, and the latency histogram holds every query.
+    // The metrics mirror the stream: one decision counter tick per
+    // decision event, and the exported latency summary counts every query.
     assert_eq!(report.metrics.counter("decisions").get(), decisions as u64);
-    assert_eq!(
-        report.latency_histogram.count(),
-        report.query_count() as u64
-    );
+    assert!(report.prometheus_text().contains(&format!(
+        "tacker_query_latency_us_count {}\n",
+        report.query_count()
+    )));
 
     let json = chrome_trace(&events);
     assert_valid_json(&json);

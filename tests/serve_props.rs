@@ -26,6 +26,13 @@ fn lc_service(gemm_m: u64) -> LcService {
     )
 }
 
+/// Everything a report carries, as text: its `Debug` rendering (latency
+/// samples, violation and guard logs, windows, timeline) plus the
+/// Prometheus text for the metric values the registry's `Debug` omits.
+fn report_text(r: &RunReport) -> String {
+    format!("{r:?}\n{}", r.prometheus_text())
+}
+
 fn be_pick(i: usize) -> BeApp {
     let bench = [
         Benchmark::Mriq,
@@ -83,17 +90,22 @@ proptest! {
         }
     }
 
-    /// The steady-state fast path is bit-identical to the full decision
-    /// loop across random LC-only scenarios (the configuration in which
-    /// it engages): same latencies, same wall clock, same windowed
-    /// telemetry, same guard trajectory. Tracing force-disables the
-    /// fast path, so the traced event stream is the slow path's by
-    /// construction — asserted via the traced run's report numbers.
+    /// The busy-period replay is bit-identical to the full decision loop
+    /// across random LC-only scenarios (the configuration in which it
+    /// engages): the whole report — latencies, wall clock, windowed
+    /// telemetry, guard trajectory and audit log, violation attribution
+    /// with queue depths, metric counters — for a lone service at light
+    /// load, and for two services whose gaps sit below the solo query
+    /// time, so busy periods hold several queued queries. Tracing
+    /// force-disables the replay, so the traced event stream is the
+    /// decision loop's by construction — asserted via the traced run's
+    /// report numbers.
     #[test]
     fn fast_path_reports_are_bit_identical(
         seed in 0u64..1000,
         gemm_m in 1024u64..4096,
         gap_us in 400u64..2000,
+        queued_gap in 0.3f64..0.95,
         guarded in 0u8..2,
     ) {
         let guarded = guarded == 1;
@@ -116,18 +128,48 @@ proptest! {
         };
         let fast = build(true, None);
         let slow = build(false, None);
-        prop_assert_eq!(fast.query_latencies(), slow.query_latencies());
-        prop_assert_eq!(fast.qos_violations(), slow.qos_violations());
-        prop_assert_eq!(fast.wall, slow.wall);
-        prop_assert_eq!(fast.guard_steps, slow.guard_steps);
-        prop_assert_eq!(&fast.guard_level, &slow.guard_level);
-        prop_assert_eq!(&fast.windows, &slow.windows);
-        // A traced run falls back to the slow path but must report the
-        // same numbers — the trace stream *is* the slow path's.
+        prop_assert_eq!(report_text(&fast), report_text(&slow));
+        // A traced run falls back to the decision loop but must report
+        // the same numbers — the trace stream *is* the decision loop's.
         let sink = Arc::new(tacker_trace::RingSink::unbounded());
         let traced = build(true, Some(sink.clone()));
         prop_assert_eq!(traced.query_latencies(), slow.query_latencies());
         prop_assert_eq!(traced.wall, slow.wall);
         prop_assert!(!sink.events().is_empty());
+
+        // Two services, each arriving faster than one of its queries
+        // runs alone: queries queue behind each other, the Equation 9
+        // headroom spans several of them, and with a target of a few solo
+        // query times the late ones violate.
+        let profiler = tacker::KernelProfiler::new(Arc::clone(&device));
+        let other = lc_service(gemm_m / 2 + 512);
+        let solo = [&lc, &other].map(|svc| {
+            tacker::server::solo_query_duration(&profiler, svc).expect("solo")
+        });
+        let loads: Vec<ServiceLoad> = [&lc, &other]
+            .into_iter()
+            .enumerate()
+            .map(|(i, svc)| ServiceLoad {
+                lc: svc.clone(),
+                mean_interarrival: solo[i].mul_f64(queued_gap),
+                seed: seed + i as u64,
+            })
+            .collect();
+        let mut tight = config.clone();
+        tight.qos_target = (solo[0] + solo[1]).mul_f64(2.0);
+        let queued = |fast: bool| {
+            ColocationRun::new(&device, &tight, &[lc.clone(), other.clone()], &[])
+                .expect("build")
+                .with_loads(&loads)
+                .windowed(tacker_kernel::SimTime::from_micros(500))
+                .guarded(GuardConfig::default())
+                .steady_fast_path(fast)
+                .run()
+                .expect("run")
+        };
+        let fast = queued(true);
+        let slow = queued(false);
+        prop_assert!(slow.violation_log.iter().any(|v| v.queue_depth > 0));
+        prop_assert_eq!(report_text(&fast), report_text(&slow));
     }
 }
