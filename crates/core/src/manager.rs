@@ -90,6 +90,13 @@ impl<'a> Head<'a> {
         }
     }
 
+    /// Pairs `wk` with its already-hashed launch fingerprint: `fp` must
+    /// equal `wk.fingerprint()`.
+    pub(crate) fn keyed(wk: &'a WorkloadKernel, fp: u64) -> Head<'a> {
+        debug_assert_eq!(fp, wk.fingerprint(), "Head::keyed: key/kernel mismatch");
+        Head { wk, fp }
+    }
+
     /// The workload kernel.
     pub fn kernel(self) -> &'a WorkloadKernel {
         self.wk

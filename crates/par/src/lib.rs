@@ -36,13 +36,18 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 
-/// Number of worker threads the host supports, per the OS scheduler.
+/// Number of worker threads the host supports, per the OS scheduler,
+/// read once per process: the query reads cgroup files and costs tens of
+/// microseconds, and every batch plans with it.
 ///
 /// Falls back to 1 when the platform cannot report it.
 pub fn available_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static JOBS: OnceLock<usize> = OnceLock::new();
+    *JOBS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// The shared `TACKER_JOBS` environment convention: an explicit request

@@ -96,6 +96,8 @@ pub struct LcService {
     name: String,
     batch: u32,
     kernels: Arc<Vec<WorkloadKernel>>,
+    /// Every query kernel's launch fingerprint, hashed once.
+    fingerprints: Arc<Vec<u64>>,
 }
 
 impl LcService {
@@ -104,6 +106,7 @@ impl LcService {
         LcService {
             name: name.into(),
             batch,
+            fingerprints: Arc::new(kernels.iter().map(WorkloadKernel::fingerprint).collect()),
             kernels: Arc::new(kernels),
         }
     }
@@ -121,6 +124,12 @@ impl LcService {
     /// The kernel sequence one query executes.
     pub fn query_kernels(&self) -> &[WorkloadKernel] {
         &self.kernels
+    }
+
+    /// The launch fingerprint of every query kernel, in sequence (hashed
+    /// once, when the service is built).
+    pub fn query_fingerprints(&self) -> &[u64] {
+        &self.fingerprints
     }
 
     /// Number of Tensor-Core kernels per query.
