@@ -66,6 +66,29 @@ impl Flags {
     pub fn has(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
+
+    /// Rejects every flag outside `accepted`, a whitespace-separated list
+    /// of flag names.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown flags, in sorted order.
+    pub fn only(&self, accepted: &str) -> Result<(), String> {
+        let mut unknown: Vec<&str> = self
+            .values
+            .keys()
+            .chain(&self.switches)
+            .map(String::as_str)
+            .filter(|name| !accepted.split_whitespace().any(|a| a == *name))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        unknown.dedup();
+        let names: Vec<String> = unknown.iter().map(|n| format!("`--{n}`")).collect();
+        Err(format!("unknown flag {}", names.join(", ")))
+    }
 }
 
 #[cfg(test)]
@@ -88,6 +111,19 @@ mod tests {
     #[test]
     fn rejects_positional() {
         assert!(Flags::parse(&argv("Resnet50")).is_err());
+    }
+
+    #[test]
+    fn only_rejects_undeclared_flags() {
+        let f = Flags::parse(&argv("--lc Resnet50 --json --zeta 1 --alpha")).unwrap();
+        assert!(f.only("lc json zeta alpha").is_ok());
+        assert_eq!(
+            f.only("lc json").unwrap_err(),
+            "unknown flag `--alpha`, `--zeta`"
+        );
+        assert!(Flags::parse(&[]).unwrap().only("").is_ok());
+        // Names match whole: a prefix of a declared flag is not declared.
+        assert!(Flags::parse(&argv("--l x")).unwrap().only("lc").is_err());
     }
 
     #[test]

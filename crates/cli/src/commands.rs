@@ -22,10 +22,10 @@ USAGE:
   tacker-cli colocate --lc <service> --be <app>
              [--policy tacker|baymax|fusion-only] [--queries N] [--seed N]
              [--gpu 2080ti|v100] [--jobs N] [--json] [--trace <out.json>]
-  tacker-cli multi    --lc <svc,svc,...> --be <app> [--queries N] [--jobs N]
-             [--json] [--trace <out.json>]
+  tacker-cli multi    --lc <svc,svc,...> --be <app> [--queries N] [--seed N]
+             [--gpu 2080ti|v100] [--jobs N] [--trace <out.json>]
   tacker-cli serve    --lc <service> --be <app> [--policy ...] [--queries N]
-             [--seed N] [--faults <plan>] [--arrivals poisson|bursty:N]
+             [--seed N] [--jobs N] [--faults <plan>] [--arrivals poisson|bursty:N]
              [--guard] [--gpu 2080ti|v100] [--json] [--trace <out.json>]
              [--metrics-out <prom.txt>] [--timeseries-out <out.jsonl>]
              [--window-us N]
@@ -39,12 +39,12 @@ USAGE:
              [--policy tacker|baymax|fusion-only] [--queries N] [--seed N]
              [--gpu 2080ti|v100] [--jobs N] [--json]
   tacker-cli trace    --lc <service> --be <app> [--policy ...] [--queries N]
-             [--out <out.json>] [--gpu 2080ti|v100]
+             [--seed N] [--jobs N] [--out <out.json>] [--gpu 2080ti|v100]
   tacker-cli fuse     --cd <parboil> [--m N --n N --k N] [--impl 128|64]
              [--gpu 2080ti|v100]
   tacker-cli codegen  --cd <parboil> [--ratio AxB]
   tacker-cli power    --lc <service> [--gpu 2080ti|v100]
-  tacker-cli model    --name <service> [--batch N]
+  tacker-cli model    --name <service> [--batch N] [--rows N]
 
 `--trace <path>` records scheduler decisions, kernel retirements and query
 completions, and writes a Chrome trace-event JSON loadable in Perfetto
@@ -82,6 +82,9 @@ rate); `--window-us N` sets the window width (default 1000, implies
 windowed telemetry). `stats` summarizes either export format.
 ";
 
+/// A subcommand's implementation.
+type Command = fn(&Flags) -> Result<(), String>;
+
 /// Dispatches a command line.
 ///
 /// # Errors
@@ -93,21 +96,34 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         return Err("no command given".to_string());
     };
     let flags = Flags::parse(rest)?;
-    match cmd.as_str() {
-        "list" => list(),
-        "colocate" => colocate(&flags),
-        "multi" => multi(&flags),
-        "serve" => serve(&flags),
-        "cluster" => cluster(&flags),
-        "stats" => stats(&flags),
-        "sweep" => sweep(&flags),
-        "trace" => trace(&flags),
-        "fuse" => fuse(&flags),
-        "codegen" => codegen(&flags),
-        "power" => power(&flags),
-        "model" => model(&flags),
-        other => Err(format!("unknown command `{other}`")),
-    }
+    // Every command with the flags it reads: anything else is an error,
+    // not a silently ignored typo.
+    let (run, accepted): (Command, &str) = match cmd.as_str() {
+        "list" => (|_| list(), ""),
+        "colocate" => (colocate, "lc be policy queries seed gpu jobs json trace"),
+        "multi" => (multi, "lc be queries seed gpu jobs trace"),
+        "serve" => (
+            serve,
+            "lc be policy queries seed gpu jobs faults arrivals guard json trace \
+             metrics-out timeseries-out window-us",
+        ),
+        "cluster" => (
+            cluster,
+            "lc devices be policy device-policy dispatch-us compare queries seed jobs json",
+        ),
+        "stats" => (stats, "in"),
+        "sweep" => (sweep, "lc be policy queries seed gpu jobs json"),
+        "trace" => (trace, "lc be policy queries seed jobs out gpu"),
+        "fuse" => (fuse, "cd m n k impl gpu"),
+        "codegen" => (codegen, "cd ratio"),
+        "power" => (power, "lc gpu"),
+        "model" => (model, "name batch rows"),
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    flags
+        .only(accepted)
+        .map_err(|e| format!("{e} for `{cmd}`"))?;
+    run(&flags)
 }
 
 fn device_for(flags: &Flags) -> Result<Arc<Device>, String> {
@@ -927,6 +943,18 @@ mod tests {
         assert!(dispatch(&argv("colocate --lc Resnet50 --be fft --gpu tpu")).is_err());
         assert!(dispatch(&argv("colocate --lc Resnet50 --be fft --policy magic")).is_err());
         assert!(dispatch(&argv("colocate --lc Resnet50 --be fft --jobs many")).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        // Neither flag exists: they must not be silently dropped.
+        let err = dispatch(&argv("colocate --lc Resnet50 --be cutcp --bogus 1")).unwrap_err();
+        assert_eq!(err, "unknown flag `--bogus` for `colocate`");
+        assert!(dispatch(&argv("colocate --lc Resnet50 --be cutcp --load 0")).is_err());
+        assert!(dispatch(&argv("list --json")).is_err());
+        assert!(dispatch(&argv("multi --lc Resnet50 --be fft --json")).is_err());
+        assert!(dispatch(&argv("cluster --lc Resnet50 --gpu v100")).is_err());
+        assert!(dispatch(&argv("codegen --cd fft --ratio 1x2 --m 4")).is_err());
     }
 
     #[test]

@@ -71,14 +71,19 @@ impl Policy {
 
 /// A scheduling head: a workload kernel with its launch fingerprint.
 ///
-/// [`Head::new`] is the only constructor, so `fp() ==
+/// [`Head::new`] is the only public constructor, so `fp() ==
 /// kernel().fingerprint()` holds by construction. A run resolves every
 /// LC query kernel and BE task kernel into a head once, then decides,
 /// predicts and launches by the stored fingerprint without re-hashing.
+/// An LC query head also carries its profiled duration, the exact
+/// prediction the profiler's history holds for it.
 #[derive(Debug, Clone, Copy)]
 pub struct Head<'a> {
     wk: &'a WorkloadKernel,
     fp: u64,
+    /// The duration the run's profiler history holds under `fp`: the
+    /// prediction whenever that history is not bypassed.
+    profiled: Option<SimTime>,
 }
 
 impl<'a> Head<'a> {
@@ -87,14 +92,21 @@ impl<'a> Head<'a> {
         Head {
             wk,
             fp: wk.fingerprint(),
+            profiled: None,
         }
     }
 
-    /// Pairs `wk` with its already-hashed launch fingerprint: `fp` must
-    /// equal `wk.fingerprint()`.
-    pub(crate) fn keyed(wk: &'a WorkloadKernel, fp: u64) -> Head<'a> {
-        debug_assert_eq!(fp, wk.fingerprint(), "Head::keyed: key/kernel mismatch");
-        Head { wk, fp }
+    /// Pairs `wk` with its already-hashed launch fingerprint and its
+    /// profiled duration: `fp` must equal `wk.fingerprint()`, and
+    /// `duration` must be what the deciding manager's profiler history
+    /// holds under `fp`.
+    pub(crate) fn profiled(wk: &'a WorkloadKernel, fp: u64, duration: SimTime) -> Head<'a> {
+        debug_assert_eq!(fp, wk.fingerprint(), "Head::profiled: key/kernel mismatch");
+        Head {
+            wk,
+            fp,
+            profiled: Some(duration),
+        }
     }
 
     /// The workload kernel.
@@ -293,8 +305,20 @@ impl KernelManager {
         self.policy.reorder_enabled() && self.guard_level().reorder_allowed()
     }
 
-    fn best_effort_allowed(&self) -> bool {
+    /// Whether BE kernels may run now: the policy runs them and the
+    /// guard's ladder level allows them.
+    pub(crate) fn best_effort_allowed(&self) -> bool {
         self.policy.best_effort_enabled() && self.guard_level().best_effort_allowed()
+    }
+
+    /// A head's predicted duration: its profiled duration while the
+    /// profiler answers from history (the two are the same number),
+    /// otherwise the profiler's prediction.
+    fn predict(&self, head: Head<'_>) -> Result<SimTime, TackerError> {
+        match head.profiled {
+            Some(duration) if !self.profiler.history_bypassed() => Ok(duration),
+            _ => self.profiler.predict_keyed(head.wk, head.fp),
+        }
     }
 
     /// Sets the device wall-clock instant stamped onto subsequent decision
@@ -381,8 +405,8 @@ impl KernelManager {
                 }
                 return Ok(None);
             }
-            let x_tc = self.profiler.predict_keyed(tc.wk, tc.fp)?;
-            let x_cd = self.profiler.predict_keyed(cd.wk, cd.fp)?;
+            let x_tc = self.predict(tc)?;
+            let x_cd = self.predict(cd)?;
             (x_tc, x_cd, e.model.predict(x_tc, x_cd))
         };
         let (t_lc, t_be) = if lc_is_tc { (x_tc, x_cd) } else { (x_cd, x_tc) };
@@ -480,7 +504,7 @@ impl KernelManager {
     ) -> Result<(Decision, Option<SimTime>), TackerError> {
         match lc_head {
             Some(lc) => {
-                let lc_predicted = self.profiler.predict_keyed(lc.wk, lc.fp)?;
+                let lc_predicted = self.predict(lc)?;
                 // 1. Fusion with the highest-gain BE partner.
                 if self.fusion_allowed() && !multiple_lc {
                     let mut slots = self.pairs.lock().expect("pair memo poisoned");
@@ -501,7 +525,7 @@ impl KernelManager {
                 if self.reorder_allowed() {
                     for (i, be) in be_heads.iter().enumerate() {
                         let Some(be) = be else { continue };
-                        let predicted = self.profiler.predict_keyed(be.wk, be.fp)?;
+                        let predicted = self.predict(*be)?;
                         if predicted < reorder_headroom {
                             return Ok((
                                 Decision::RunBe {
@@ -526,7 +550,7 @@ impl KernelManager {
                 if self.best_effort_allowed() {
                     for (i, be) in be_heads.iter().enumerate() {
                         if let Some(be) = be {
-                            let predicted = self.profiler.predict_keyed(be.wk, be.fp)?;
+                            let predicted = self.predict(*be)?;
                             return Ok((
                                 Decision::RunBe {
                                     be_index: i,

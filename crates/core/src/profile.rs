@@ -101,6 +101,11 @@ impl KernelProfiler {
         self.history_bypass.store(bypass, Ordering::Relaxed);
     }
 
+    /// Whether the predictor-outage mode is on.
+    pub(crate) fn history_bypassed(&self) -> bool {
+        self.history_bypass.load(Ordering::Relaxed)
+    }
+
     /// The underlying device.
     pub fn device(&self) -> &Arc<Device> {
         &self.device
@@ -112,18 +117,7 @@ impl KernelProfiler {
     ///
     /// Propagates simulation errors.
     pub fn measure(&self, wk: &WorkloadKernel) -> Result<SimTime, TackerError> {
-        self.measure_keyed(wk, wk.fingerprint())
-    }
-
-    /// [`KernelProfiler::measure`] with `wk`'s fingerprint already known:
-    /// `fp` must equal `wk.fingerprint()` (a [`crate::manager::Head`]
-    /// carries that pair).
-    pub(crate) fn measure_keyed(
-        &self,
-        wk: &WorkloadKernel,
-        fp: u64,
-    ) -> Result<SimTime, TackerError> {
-        debug_assert_eq!(fp, wk.fingerprint(), "measure_keyed: key/kernel mismatch");
+        let fp = wk.fingerprint();
         let duration = self.device.run_keyed(fp, &wk.def, || wk.launch())?.duration;
         self.history
             .lock()
@@ -208,7 +202,7 @@ impl KernelProfiler {
         fp: u64,
     ) -> Result<SimTime, TackerError> {
         debug_assert_eq!(fp, wk.fingerprint(), "predict_keyed: key/kernel mismatch");
-        if !self.history_bypass.load(Ordering::Relaxed) {
+        if !self.history_bypassed() {
             if let Some(seen) = self.history.lock().expect("history poisoned").get(&fp) {
                 return Ok(*seen);
             }

@@ -27,9 +27,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use tacker_kernel::{KernelDef, SimTime};
-use tacker_sim::core::{Event, EventHandler, Schedule, Simulation, SimulationContext};
-use tacker_sim::queue::{HeapQueue, SimQueue};
-use tacker_sim::{scale_run, Device, TimelineRecorder};
+use tacker_sim::{scale_run, Device, KernelRun, SimError, TimelineRecorder};
 use tacker_trace::timeseries::{SpanKind, WindowRow, WindowSeries};
 use tacker_trace::{MetricsRegistry, NoopSink, TraceEvent, TraceSink};
 use tacker_workloads::{BeApp, LcService};
@@ -134,13 +132,15 @@ pub struct ServeOptions {
     pub guard: Option<GuardConfig>,
     /// Telemetry collection options.
     pub telemetry: TelemetryOptions,
-    /// Enable the busy-period replay (default on): in a run with no
-    /// admissible BE work, no faults and no trace sink, the front query's
-    /// kernels replay from its measured [`QueryProfile`] until it retires
-    /// or the next arrival is due, instead of driving the decision loop
-    /// once per kernel. Bit-identical to the decision loop by
-    /// construction. Turn off to force the full decision loop (e.g. when
-    /// benchmarking it).
+    /// Enable the replays (default on). In a run with no faults and no
+    /// trace sink they skip the decision loop where it has one possible
+    /// decision: without admissible BE work, the front query's kernels
+    /// replay from its measured [`QueryProfile`] until it retires or the
+    /// next arrival is due (busy-period replay); with it, the first BE
+    /// app's kernels run back to back while no query is active, until
+    /// the next arrival is due (idle-period replay). Bit-identical to the
+    /// decision loop by construction. Turn off to force the full decision
+    /// loop (e.g. when benchmarking it).
     pub fast_path: bool,
 }
 
@@ -185,7 +185,7 @@ impl ServeOptions {
         self
     }
 
-    /// Enables or disables the busy-period replay.
+    /// Enables or disables the busy-period and idle-period replays.
     #[must_use]
     pub fn with_fast_path(mut self, on: bool) -> Self {
         self.fast_path = on;
@@ -346,8 +346,8 @@ impl<'a> ColocationRun<'a> {
         self
     }
 
-    /// Enables or disables the busy-period replay (default on; see
-    /// [`ServeOptions::fast_path`]).
+    /// Enables or disables the busy-period and idle-period replays
+    /// (default on; see [`ServeOptions::fast_path`]).
     #[must_use]
     pub fn steady_fast_path(mut self, on: bool) -> Self {
         self.options.fast_path = on;
@@ -464,13 +464,63 @@ fn eq9_headroom(active: &VecDeque<ActiveQuery>, now: SimTime, safety: SimTime) -
 struct BeState<'a> {
     /// The app's task kernels, resolved once per run.
     task: &'a [Head<'a>],
+    /// The run's copy of each task kernel's device run, taken at the
+    /// kernel's first launch: every later launch is served from it.
+    runs: Vec<Option<Arc<KernelRun>>>,
+    /// Which task kernels a fused launch has already credited, recording
+    /// their duration as profiler history.
+    recorded: Vec<bool>,
     /// Position of the head kernel within the current task iteration.
     next: usize,
 }
 
 impl<'a> BeState<'a> {
+    fn new(task: &'a [Head<'a>]) -> BeState<'a> {
+        BeState {
+            task,
+            runs: vec![None; task.len()],
+            recorded: vec![false; task.len()],
+            next: 0,
+        }
+    }
+
     fn head(&self) -> Option<Head<'a>> {
         self.task.get(self.next).copied()
+    }
+
+    /// The head kernel's run: one device probe at its task position's
+    /// first launch, the run's copy (one credited hit) at every later one.
+    fn head_run(
+        &mut self,
+        device: &Device,
+        credited: &mut CreditedHits<'_>,
+    ) -> Result<Arc<KernelRun>, SimError> {
+        let slot = &mut self.runs[self.next];
+        if let Some(run) = slot {
+            credited.hits += 1;
+            return Ok(Arc::clone(run));
+        }
+        let run = self.task[self.next].run(device)?;
+        *slot = Some(Arc::clone(&run));
+        Ok(run)
+    }
+
+    /// The solo work a fused launch credits for the head kernel: what
+    /// `KernelProfiler::measure` returns, and like it recorded as profiler
+    /// history — at the position's first credit only, since every later
+    /// one would insert the same duration again.
+    fn credit(
+        &mut self,
+        device: &Device,
+        profiler: &KernelProfiler,
+        credited: &mut CreditedHits<'_>,
+    ) -> Result<SimTime, SimError> {
+        let duration = self.head_run(device, credited)?.duration;
+        if !self.recorded[self.next] {
+            self.recorded[self.next] = true;
+            profiler.record_history([(self.task[self.next].fp(), duration)]);
+        }
+        Ok(duration)
     }
 
     /// Retires the head; the endless task stream wraps to the next
@@ -490,6 +540,30 @@ fn pop_be<'a>(states: &mut [BeState<'a>], heads: &mut [Option<Head<'a>>], i: usi
     if heads[i].is_some() {
         heads[i] = states[i].head();
     }
+}
+
+/// Plain-kernel launches a run served from its own copies of device runs
+/// instead of probing the device. Each would have been a cache hit, so
+/// the count is credited to the device's hit counter in one add when the
+/// run ends, on error paths too: device counters read as if every launch
+/// had probed.
+struct CreditedHits<'d> {
+    device: &'d Device,
+    hits: u64,
+}
+
+impl Drop for CreditedHits<'_> {
+    fn drop(&mut self) {
+        self.device.credit_hits(self.hits);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// BE kernels the idle-period replay served on this thread. Tests
+    /// read it because device counters are the same with the replay on
+    /// or off.
+    static IDLE_REPLAYED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Materializes the per-service arrival streams. Shared with the fleet
@@ -564,72 +638,42 @@ pub(crate) fn generate_arrivals(
     Ok(arrivals_per_service)
 }
 
-/// The LC arrival process as a component on the `tacker_sim::core`
-/// kernel: every arrival across all services is one scheduled event
-/// whose payload indexes the merged, `(time, service)`-sorted stream.
-/// [`run_engine`] drains it with [`Simulation::run_until`] at each loop
-/// head; delivery order is the kernel's `(time, seq)` order, which is
-/// exactly the historical per-service-cursor-then-sort admission order
-/// because events are scheduled in merged order (equal times keep their
-/// schedule sequence) and `SimTime` nanoseconds below 2⁵³ (~104 days)
-/// convert to `f64` exactly.
-struct ArrivalProcess {
-    /// All arrivals, globally sorted by `(time, service)`.
+/// Every service's arrivals merged into one stream sorted by
+/// `(time, service)` — the historical per-service-cursor-then-sort
+/// admission order — and admitted in order by a cursor.
+struct Arrivals {
     merged: Vec<(SimTime, usize)>,
-    /// Arrivals delivered so far — a prefix of `merged`, because the
-    /// kernel pops in schedule order here.
-    delivered: usize,
-    /// Merged indexes delivered by the current drain, in admission order.
-    admitted: Vec<u32>,
+    /// Arrivals admitted so far: a prefix of `merged`.
+    admitted: usize,
 }
 
-impl ArrivalProcess {
-    /// Builds the component and its calendar from the per-service
-    /// streams (each already sorted by [`generate_arrivals`]).
-    fn new(arrivals_per_service: &[Vec<SimTime>]) -> (Simulation<HeapQueue>, ArrivalProcess) {
-        let mut merged: Vec<(SimTime, usize)> = arrivals_per_service
+impl Arrivals {
+    /// Merges the per-service streams (each already sorted by
+    /// [`generate_arrivals`]).
+    fn new(per_service: &[Vec<SimTime>]) -> Arrivals {
+        let mut merged: Vec<(SimTime, usize)> = per_service
             .iter()
             .enumerate()
             .flat_map(|(si, stream)| stream.iter().map(move |&t| (t, si)))
             .collect();
-        merged.sort();
-        let mut sim = Simulation::new(HeapQueue::new());
-        for (i, &(t, _)) in merged.iter().enumerate() {
-            sim.schedule(t.as_nanos() as f64, i as u32);
-        }
-        let proc = ArrivalProcess {
+        merged.sort_unstable();
+        Arrivals {
             merged,
-            delivered: 0,
-            admitted: Vec::new(),
-        };
-        (sim, proc)
+            admitted: 0,
+        }
     }
 
-    /// Drains every arrival with time ≤ `now` into `admitted`
-    /// (cleared first), returning the admitted `(time, service)` pairs'
-    /// indexes in delivery order.
-    fn drain(&mut self, sim: &mut Simulation<HeapQueue>, now: SimTime) -> &[u32] {
-        self.admitted.clear();
-        sim.run_until(now.as_nanos() as f64, self);
-        &self.admitted
+    /// Admits the next arrival if it is due by `now`: its
+    /// `(time, service)`.
+    fn admit(&mut self, now: SimTime) -> Option<(SimTime, usize)> {
+        let next = *self.merged.get(self.admitted).filter(|(t, _)| *t <= now)?;
+        self.admitted += 1;
+        Some(next)
     }
 
-    /// The arrival at merged index `i`.
-    fn get(&self, i: u32) -> (SimTime, usize) {
-        self.merged[i as usize]
-    }
-
-    /// The next undelivered arrival time, if any.
+    /// The next arrival not yet admitted, if any.
     fn upcoming(&self) -> Option<SimTime> {
-        self.merged.get(self.delivered).map(|&(t, _)| t)
-    }
-}
-
-impl<Q: SimQueue> EventHandler<Q> for ArrivalProcess {
-    fn on_event(&mut self, event: Event, _ctx: &mut SimulationContext<'_, Q>) {
-        debug_assert_eq!(event.payload as usize, self.delivered);
-        self.delivered += 1;
-        self.admitted.push(event.payload);
+        self.merged.get(self.admitted).map(|&(t, _)| t)
     }
 }
 
@@ -706,15 +750,19 @@ pub(crate) fn run_engine(
     // Every LC query kernel and BE task kernel resolved into a `Head` once:
     // decisions, predictions and launches below key the profiler history
     // and the device cache by the stored fingerprint instead of re-hashing
-    // the kernel at every use.
+    // the kernel at every use. An LC head also carries its profiled
+    // duration, the prediction the history holds for it, so the manager
+    // reads it without a history probe.
     let lc_heads: Vec<Vec<Head<'_>>> = services
         .iter()
-        .map(|svc| {
+        .zip(&profiles)
+        .map(|(svc, p)| {
             let kernels = svc.lc.query_kernels().iter();
             let fps = svc.lc.query_fingerprints();
             kernels
                 .zip(fps)
-                .map(|(k, &fp)| Head::keyed(k, fp))
+                .zip(&p.durations)
+                .map(|((k, &fp), &duration)| Head::profiled(k, fp, duration))
                 .collect()
         })
         .collect();
@@ -723,17 +771,26 @@ pub(crate) fn run_engine(
         .map(|app| app.task_kernels().iter().map(Head::new).collect())
         .collect();
 
-    // Busy-period replay (see ServeOptions::fast_path): eligible only when
-    // nothing can make the manager decide anything but RunLc for the front
-    // query's next kernel — no faults (each LC launch realizes its
-    // memoized timing), no trace sink (Decision events would embed
-    // per-point headroom the replay skips computing), and no admissible
-    // BE work (the manager returns RunLc for the LC head regardless of
-    // headroom).
-    let replay = opts.fast_path
-        && !tracing
-        && faults.is_zero()
-        && (be_apps.is_empty() || !policy.best_effort_enabled());
+    let mut be_states: Vec<BeState<'_>> = be_task_heads.iter().map(|t| BeState::new(t)).collect();
+    // The manager's view of each BE app's ready head, kept across
+    // decisions: an entry changes only when its app retires a kernel
+    // (`pop_be`), and never between `Some` and `None`. All `None` when
+    // the policy runs no BE work.
+    let mut be_heads: Vec<Option<Head<'_>>> = be_states
+        .iter()
+        .map(|b| b.head().filter(|_| policy.best_effort_enabled()))
+        .collect();
+
+    // The replays (see ServeOptions::fast_path) need a run in which every
+    // launch realizes its memoized timing (no faults) and no trace sink
+    // (Decision events would embed per-point headroom the replays skip
+    // computing). Without admissible BE work, the manager's only decision
+    // while a query is active is RunLc for the front query's next kernel
+    // (busy-period replay); with it, its only decision while none is
+    // active is RunBe for the first BE head, as long as the guard admits
+    // BE work (idle-period replay, in the RunBe arm).
+    let steady = opts.fast_path && !tracing && faults.is_zero();
+    let busy_replay = steady && be_heads.iter().all(Option::is_none);
 
     // Fault sampling resolved up front: which LC kernel positions of which
     // service run persistently slower than their profile says.
@@ -746,20 +803,9 @@ pub(crate) fn run_engine(
         })
         .collect();
 
-    let mut be_states: Vec<BeState<'_>> = be_task_heads
-        .iter()
-        .map(|task| BeState { task, next: 0 })
-        .collect();
-    // The manager's view of each BE app's ready head, kept across
-    // decisions: an entry changes only when its app retires a kernel
-    // (`pop_be`). All `None` when the policy runs no BE work.
-    let mut be_heads: Vec<Option<Head<'_>>> = be_states
-        .iter()
-        .map(|b| b.head().filter(|_| policy.best_effort_enabled()))
-        .collect();
-
     let mut now = SimTime::ZERO;
-    let (mut arrival_sim, mut arrival_proc) = ArrivalProcess::new(&arrivals_per_service);
+    let mut arrivals = Arrivals::new(&arrivals_per_service);
+    let mut credited = CreditedHits { device, hits: 0 };
     let mut active: VecDeque<ActiveQuery> = VecDeque::new();
     // Best-effort injection budget. Headroom alone is blind to *future*
     // arrivals: BE work injected into a busy period delays every query that
@@ -791,7 +837,7 @@ pub(crate) fn run_engine(
     // The definition of the last co-running BE kernel launched — the
     // co-runner a violation is attributed to. Named only when a violation
     // record is written.
-    let mut last_be: Option<Arc<KernelDef>> = None;
+    let mut last_be: Option<&KernelDef> = None;
     // Last guard ladder level pushed into the window series.
     let mut last_guard_level: Option<crate::guard::GuardLevel> = None;
     let mut report = RunReport {
@@ -927,8 +973,8 @@ pub(crate) fn run_engine(
                     continue;
                 };
                 let predicted = profiler.predict_keyed(head.kernel(), head.fp())?;
-                let run = head.run(device)?;
-                last_be = Some(Arc::clone(&head.kernel().def));
+                let run = be_states[bi].head_run(device, &mut credited)?;
+                last_be = Some(&head.kernel().def);
                 launch_seq += 1;
                 now += run.duration;
                 report.busy += run.duration;
@@ -973,10 +1019,8 @@ pub(crate) fn run_engine(
             }
         }
 
-        // Admit arrivals from every service, oldest first: drain the
-        // arrival component's calendar up to the engine's clock.
-        for i in 0..arrival_proc.drain(&mut arrival_sim, now).len() {
-            let (arrival, si) = arrival_proc.get(arrival_proc.admitted[i]);
+        // Admit arrivals from every service, oldest first.
+        while let Some((arrival, si)) = arrivals.admit(now) {
             if let Some(ws) = windows.as_mut() {
                 ws.on_arrivals(arrival, 1, &mut emit_window);
             }
@@ -1005,7 +1049,7 @@ pub(crate) fn run_engine(
         // updates the RunLc arm below makes, in the same order — until it
         // retires or the next arrival is due. The loop then admits and
         // retires exactly where the decision loop would.
-        if replay && !active.is_empty() {
+        if busy_replay && !active.is_empty() {
             let si = active[0].service;
             let profile = &profiles[si];
             loop {
@@ -1045,7 +1089,7 @@ pub(crate) fn run_engine(
                     tl.advance_to(now.saturating_sub(duration));
                     tl.record(&profile.runs[idx], "LC");
                 }
-                if retired || arrival_proc.upcoming().is_some_and(|t| t <= now) {
+                if retired || arrivals.upcoming().is_some_and(|t| t <= now) {
                     break;
                 }
                 // The per-iteration guard-level push below, for every
@@ -1101,7 +1145,9 @@ pub(crate) fn run_engine(
                     let si = q.service;
                     let idx = q.next;
                     q.next += 1;
-                    let mut run = lc_heads[si][idx].run(device)?;
+                    // The profiled run is the one a device probe returns.
+                    let mut run = Arc::clone(&profiles[si].runs[idx]);
+                    credited.hits += 1;
                     launch_seq += 1;
                     let mf = mispredict[si][idx];
                     if mf != 1.0 {
@@ -1219,9 +1265,10 @@ pub(crate) fn run_engine(
                     q.remaining_pred = q.remaining_pred.saturating_sub(profiles[si].durations[idx]);
                     // BE kernel completed via fusion: credit its solo work.
                     let be = be_heads[be_index].expect("fusion used this BE head");
-                    report.be_work += profiler.measure_keyed(be.kernel(), be.fp())?;
+                    report.be_work +=
+                        be_states[be_index].credit(device, &profiler, &mut credited)?;
                     report.be_kernels += 1;
-                    last_be = Some(Arc::clone(&be.kernel().def));
+                    last_be = Some(&be.kernel().def);
                     pop_be(&mut be_states, &mut be_heads, be_index);
                     report.fused_launches += 1;
                     budget -= run.duration.saturating_sub(lc_predicted).as_nanos() as i128;
@@ -1253,10 +1300,10 @@ pub(crate) fn run_engine(
                 }
                 Decision::RunBe {
                     be_index,
-                    predicted,
-                } => {
+                    mut predicted,
+                } => loop {
                     let be = be_heads[be_index].expect("BE head exists");
-                    let mut run = be.run(device)?;
+                    let mut run = be_states[be_index].head_run(device, &mut credited)?;
                     launch_seq += 1;
                     let sf = faults.straggler_factor(launch_seq);
                     if sf != 1.0 {
@@ -1289,7 +1336,7 @@ pub(crate) fn run_engine(
                     report.be_work += run.duration;
                     report.be_kernels += 1;
                     let be_id = be.kernel().def.id().get();
-                    last_be = Some(Arc::clone(&be.kernel().def));
+                    last_be = Some(&be.kernel().def);
                     pop_be(&mut be_states, &mut be_heads, be_index);
                     if was_idle {
                         // Free-running BE during idle replenishes the budget.
@@ -1306,12 +1353,40 @@ pub(crate) fn run_engine(
                         tl.advance_to(now.saturating_sub(run.duration));
                         tl.record(&run, "BE");
                     }
-                }
+                    // Idle-period replay: with no query active, every
+                    // decision until the next arrival is due is RunBe for
+                    // this app's next head while the guard admits BE work,
+                    // so in a steady run its kernels launch here back to
+                    // back — each after exactly the loop's per-iteration
+                    // guard-level push and the decision's metric updates
+                    // and prediction. Fused-plan cache stats cannot move
+                    // (plain launches only).
+                    let replay = steady
+                        && was_idle
+                        && arrivals.upcoming().is_some_and(|t| t > now)
+                        && manager.best_effort_allowed();
+                    if !replay {
+                        break;
+                    }
+                    if let Some(ws) = windows.as_mut() {
+                        let level = guard.as_ref().map(|g| g.level());
+                        if level != last_guard_level {
+                            last_guard_level = level;
+                            ws.set_guard(level.map(crate::guard::GuardLevel::name));
+                        }
+                    }
+                    m_decisions.inc();
+                    m_budget.set(budget as f64);
+                    let be = be_heads[be_index].expect("BE head exists");
+                    predicted = profiler.predict_keyed(be.kernel(), be.fp())?;
+                    #[cfg(test)]
+                    IDLE_REPLAYED.with(|n| n.set(n.get() + 1));
+                },
                 Decision::Idle => {
                     // Jump to the next arrival of any service — or the next
                     // flood burst, which also re-opens the device; genuine
                     // idle replenishes the injection budget.
-                    let upcoming = arrival_proc.upcoming();
+                    let upcoming = arrivals.upcoming();
                     let upcoming = match (upcoming, faults.be_floods.get(next_flood)) {
                         (Some(t), Some(b)) => Some(t.min(b.at)),
                         (None, Some(b)) => Some(b.at),
@@ -1373,9 +1448,7 @@ pub(crate) fn run_engine(
                         target: config.qos_target,
                         guard_level: guard.as_ref().map(|g| g.level()),
                         faults: in_effect,
-                        be_kernel: last_be
-                            .as_ref()
-                            .map(|d| (d.name().to_string(), d.id().get())),
+                        be_kernel: last_be.map(|d| (d.name().to_string(), d.id().get())),
                         queue_depth: q.depth_at_admission,
                     });
                 }
@@ -1662,6 +1735,54 @@ mod tests {
             slow >= 40 * 6,
             "the decision loop probes every kernel: {slow}"
         );
+    }
+
+    #[test]
+    fn idle_replay_serves_be_kernels() {
+        // Gaps of several solo query times leave idle periods that the
+        // free-running BE app fills; the tight target makes queries that
+        // queue behind BE work violate, so the guard steps down its ladder
+        // and stops admitting BE work mid-period.
+        let device = device();
+        let profiler = KernelProfiler::new(Arc::clone(&device));
+        let solo = crate::server::solo_query_duration(&profiler, &tiny_lc()).unwrap();
+        let mut cfg = config().with_timeline();
+        cfg.qos_target = solo.mul_f64(1.1);
+        let run = |fast: bool| {
+            device.reset_stats();
+            let before = IDLE_REPLAYED.with(std::cell::Cell::get);
+            let r = ColocationRun::new(&device, &cfg, &[tiny_lc()], &[tiny_be()])
+                .unwrap()
+                .at(solo.mul_f64(3.0))
+                .guarded(GuardConfig::default())
+                .windowed(SimTime::from_millis(1))
+                .steady_fast_path(fast)
+                .run()
+                .unwrap();
+            let replayed = IDLE_REPLAYED.with(std::cell::Cell::get) - before;
+            (replayed, device.cache_stats(), r)
+        };
+        run(false); // warm the device: both runs below read it warm
+        let (replayed, fast_probes, fast) = run(true);
+        let (none, slow_probes, slow) = run(false);
+        assert_eq!(none, 0, "the decision loop replayed");
+        assert!(
+            replayed * 2 > fast.be_kernels,
+            "idle replay served {replayed} of {} BE kernels",
+            fast.be_kernels
+        );
+        assert!(fast.guard_steps > 0, "the guard never stepped");
+        // Every launch reads as a probe of the warm cache: each LC kernel
+        // (alone or fused), each BE kernel and each fused launch.
+        let (hits, misses) = fast_probes;
+        let launches = 30 * 6 + fast.be_kernels + fast.fused_launches;
+        assert!(
+            misses == 0 && hits >= launches,
+            "{hits} hits for {launches} launches"
+        );
+        assert_eq!(fast_probes, slow_probes, "device counters diverged");
+        let text = |r: &RunReport| format!("{r:?}\n{}", r.prometheus_text());
+        assert_eq!(text(&fast), text(&slow));
     }
 
     #[test]

@@ -248,6 +248,15 @@ impl Device {
         }
     }
 
+    /// Counts `n` plain-kernel hits in one add: launches a caller served
+    /// from its own copies of runs this device returned, each of which a
+    /// probe would have hit (the cache never evicts except through
+    /// [`Device::clear_cache`]). Keeps the counters reading as if every
+    /// such launch had probed.
+    pub fn credit_hits(&self, n: u64) {
+        self.hits.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Counts one simulated miss (and a fused miss when `fused`).
     fn count_miss(&self, fused: bool) {
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -581,6 +590,27 @@ mod tests {
         // The next lookup is a hit against the surviving entry.
         dev.run_launch(&l).unwrap();
         assert_eq!(dev.cache_stats(), (1, 0));
+    }
+
+    #[test]
+    fn credited_hits_count_as_plain_hits() {
+        let dev = Device::new(GpuSpec::rtx2080ti());
+        let l = launch(68);
+        dev.run_launch(&l).unwrap();
+        dev.credit_hits(0);
+        assert_eq!(dev.cache_stats(), (0, 1));
+        // Three launches served from a held copy read exactly as three
+        // probes of the cached entry would.
+        dev.credit_hits(3);
+        let probed = Device::new(GpuSpec::rtx2080ti());
+        for _ in 0..4 {
+            probed.run_launch(&l).unwrap();
+        }
+        assert_eq!(dev.cache_stats(), probed.cache_stats());
+        assert_eq!(dev.cache_stats(), (3, 1));
+        assert_eq!(dev.fused_cache_stats(), (0, 0), "credits are plain hits");
+        assert!((dev.cache_hit_rate() - 0.75).abs() < 1e-12);
+        assert_eq!(dev.cache_len(), 1, "crediting stores nothing");
     }
 
     #[test]

@@ -172,4 +172,56 @@ proptest! {
         prop_assert!(slow.violation_log.iter().any(|v| v.queue_depth > 0));
         prop_assert_eq!(report_text(&fast), report_text(&slow));
     }
+
+    /// The idle-period replay is bit-identical to the full decision loop
+    /// with BE work admitted: Tacker or Baymax, one or two BE apps, gaps
+    /// from below to well above the solo query time (so idle periods
+    /// alternate with busy ones that fuse and reorder), windows, guard
+    /// and timeline on. A tight QoS target drives violations, so the
+    /// guard walks its ladder and stops admitting BE work mid-period.
+    #[test]
+    fn idle_replay_reports_are_bit_identical(
+        seed in 0u64..1000,
+        gemm_m in 1024u64..4096,
+        gap_ratio in 0.5f64..8.0,
+        first in 0usize..4,
+        second in 0usize..4,
+        baymax in 0u8..2,
+        tight in 0u8..2,
+    ) {
+        let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+        let lc = lc_service(gemm_m);
+        let profiler = tacker::KernelProfiler::new(Arc::clone(&device));
+        let solo = tacker::server::solo_query_duration(&profiler, &lc).expect("solo");
+        let mut bes = vec![be_pick(first)];
+        if second != first {
+            bes.push(be_pick(second));
+        }
+        let policy = if baymax == 1 { Policy::Baymax } else { Policy::Tacker };
+        let mut config = ExperimentConfig::default()
+            .with_queries(10)
+            .with_seed(seed)
+            .with_timeline();
+        if tight == 1 {
+            config.qos_target = solo.mul_f64(1.5);
+        }
+        let build = |fast: bool| {
+            ColocationRun::new(&device, &config, std::slice::from_ref(&lc), &bes)
+                .expect("build")
+                .policy(policy)
+                .at(solo.mul_f64(gap_ratio))
+                .windowed(tacker_kernel::SimTime::from_micros(500))
+                .guarded(GuardConfig::default())
+                .steady_fast_path(fast)
+                .run()
+                .expect("run")
+        };
+        // Windows count fused-cache hits and misses, so both compared
+        // runs read a device the first run warmed.
+        build(false);
+        let fast = build(true);
+        let slow = build(false);
+        prop_assert!(slow.be_kernels > 0);
+        prop_assert_eq!(report_text(&fast), report_text(&slow));
+    }
 }
