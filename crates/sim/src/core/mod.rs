@@ -1,40 +1,28 @@
-//! `tacker-sim::core` — the reusable component/event-handler simulation
-//! kernel (DSLab-style).
-//!
-//! Three pieces:
+//! `tacker-sim::core` — the event kernel the SM engine runs on
+//! (DSLab-style: an event queue and dispatch).
 //!
 //! * [`Simulation`] owns the event calendar (any [`crate::queue::SimQueue`]
-//!   — the reference heap or the u128-packed calendar/bucket queue), the
-//!   monotone event sequence that breaks time ties deterministically, the
-//!   clock, and a seeded RNG.
-//! * [`SimulationContext`] is the handle a component holds during
-//!   dispatch: schedule follow-ups, read the clock, draw randomness, and
-//!   read the queue's inline-continuation bound (what powers warp
-//!   macro-stepping).
-//! * [`EventHandler`] is the component trait. It is generic over the
-//!   queue, so a single hot component (the SM warp engine) dispatches
-//!   monomorphically — zero virtual calls per event — while coarse
-//!   actors (arrival processes, fleet dispatchers, devices) register on
-//!   a [`Router`] behind `dyn` and pay one virtual call per *query*.
+//!   — the reference heap or the u128-packed calendar/bucket queue) and
+//!   the monotone event sequence that breaks time ties deterministically;
+//!   the clock is the time of the event being dispatched.
+//! * [`SimulationContext`] is the handle a handler holds during dispatch:
+//!   schedule follow-ups and read the queue's inline-continuation bound
+//!   (what powers warp macro-stepping).
+//! * [`EventHandler`] is the handler trait. It is generic over the queue,
+//!   so the warp engine dispatches monomorphically — zero virtual calls
+//!   per event.
+//! * [`FcfsServer`] is the pipeline-stage server the engine instantiates
+//!   per SM pipeline.
 //!
-//! Event payloads are compact `u32`s (an index into component state),
-//! never boxed values: the calendar packs `(time, seq, payload)` into
-//! one `u128`, so scheduling is an integer append. This is the
-//! load-bearing difference from a boxed-payload actor kernel — it keeps
-//! the engine's tens-of-millions-events-per-second hot path while still
-//! giving coarse actors a composable component model.
-//!
-//! The existing actors run on this kernel: the SM warp scheduler and
-//! pipeline servers ([`FcfsServer`]) in [`crate::engine`], the `Device`
-//! launch component ([`crate::device::DeviceComponent`]), the serve
-//! arrival process, and the fleet dispatcher (both in the `tacker`
-//! crate). DESIGN.md §3 has the component diagram and a guide to
-//! writing a new component.
+//! Event payloads are compact `u32`s (an index into handler state), never
+//! boxed values: the calendar packs `(time, seq, payload)` into one
+//! `u128`, so scheduling is an integer append. The one production user is
+//! the SM warp engine ([`crate::engine`], including the forked
+//! simulations of [`crate::Device::run_family`]); DESIGN.md §3 describes
+//! it.
 
-mod router;
 mod server;
 mod simulation;
 
-pub use router::{route_payload, ComponentId, Router, ROUTE_PAYLOAD_BITS, ROUTE_PAYLOAD_MASK};
 pub use server::FcfsServer;
 pub use simulation::{Event, EventHandler, Schedule, Simulation, SimulationContext};

@@ -359,77 +359,6 @@ impl Device {
     }
 }
 
-/// The device as a component on the [`crate::core`] simulation kernel:
-/// each event is a launch request whose payload indexes a prepared plan
-/// list; the component executes the plan (memoized, like
-/// [`Device::run_plan`]) and schedules a completion event for the same
-/// payload at the launch's finish time (in cycles).
-///
-/// Completion events are delivered back to this component (or, on a
-/// [`crate::core::Router`], to the destination given at construction)
-/// and recorded in [`DeviceComponent::completions`] in retirement
-/// order. Simulation failures stop the component from scheduling a
-/// completion and are collected in [`DeviceComponent::errors`].
-#[derive(Debug)]
-pub struct DeviceComponent<'a> {
-    device: &'a Device,
-    plans: &'a [ExecutablePlan],
-    /// High payload bit marking a completion (vs launch-request) event.
-    /// Plans are indexed by the low 31 bits, so a component handles up
-    /// to 2³¹ distinct plans — far beyond any launch list.
-    completion_bit: u32,
-    /// `(finish_cycles, plan_index, run)` per retired launch, in
-    /// completion order.
-    pub completions: Vec<(f64, u32, Arc<KernelRun>)>,
-    /// Launches whose simulation failed, with the failure.
-    pub errors: Vec<(u32, SimError)>,
-}
-
-impl<'a> DeviceComponent<'a> {
-    /// A launch component over `device` executing plans from `plans`.
-    pub fn new(device: &'a Device, plans: &'a [ExecutablePlan]) -> DeviceComponent<'a> {
-        DeviceComponent {
-            device,
-            plans,
-            completion_bit: 1 << 30,
-            completions: Vec::new(),
-            errors: Vec::new(),
-        }
-    }
-
-    /// The payload requesting a launch of `plans[index]`.
-    pub fn launch_payload(&self, index: u32) -> u32 {
-        assert!(index < self.completion_bit, "plan index exceeds payload");
-        index
-    }
-}
-
-impl<'a, Q: crate::queue::SimQueue> crate::core::EventHandler<Q> for DeviceComponent<'a> {
-    fn on_event(
-        &mut self,
-        event: crate::core::Event,
-        ctx: &mut crate::core::SimulationContext<'_, Q>,
-    ) {
-        use crate::core::Schedule;
-        if event.payload & self.completion_bit != 0 {
-            let index = event.payload & !self.completion_bit;
-            let run = self
-                .device
-                .run_plan(&self.plans[index as usize])
-                .expect("completion follows a successful launch");
-            self.completions.push((event.time, index, run));
-            return;
-        }
-        match self.device.run_plan(&self.plans[event.payload as usize]) {
-            Ok(run) => {
-                let finish = event.time + run.cycles.get() as f64;
-                ctx.schedule(finish, event.payload | self.completion_bit);
-            }
-            Err(e) => self.errors.push((event.payload, e)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

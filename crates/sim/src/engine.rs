@@ -931,46 +931,29 @@ fn run_with_scratch(
 /// Returns [`SimError::LaunchFailure`] when the plan cannot be placed and
 /// [`SimError::Deadlock`] when barrier expectations can never be met.
 pub fn simulate(spec: &GpuSpec, plan: &ExecutablePlan) -> Result<KernelRun, SimError> {
-    simulate_with_active_sms(spec, plan, spec.sm_count)
-}
-
-/// [`simulate`] with an explicit count of SMs contending for DRAM.
-pub fn simulate_with_active_sms(
-    spec: &GpuSpec,
-    plan: &ExecutablePlan,
-    active_sms: u32,
-) -> Result<KernelRun, SimError> {
     simulate_with_options(
         spec,
         plan,
-        active_sms,
+        spec.sm_count,
         &tacker_trace::NoopSink,
         EngineOptions::default(),
     )
 }
 
-/// [`simulate_with_active_sms`] with a trace sink receiving engine events:
-/// pipeline busy intervals, FCFS-server queue/wait statistics, barrier
-/// arrivals/releases, deadlock context, and the completion summary.
+/// [`simulate`] with every knob explicit: `active_sms` SMs contend for
+/// DRAM, `sink` receives engine events, and `options` choose the queue
+/// kind and macro-stepping.
 ///
-/// With a disabled sink (e.g. [`tacker_trace::NoopSink`]) this is the same
-/// hot path as [`simulate`]: `enabled()` is hoisted into a bool once at
-/// engine construction and no event is ever built. With an *enabled*
-/// sink, macro-stepping is forced off so the per-event stream (barrier
-/// arrivals, server statistics) is identical to the event-by-event
-/// reference engine.
-pub fn simulate_traced(
-    spec: &GpuSpec,
-    plan: &ExecutablePlan,
-    active_sms: u32,
-    sink: &dyn TraceSink,
-) -> Result<KernelRun, SimError> {
-    simulate_with_options(spec, plan, active_sms, sink, EngineOptions::default())
-}
-
-/// Fully explicit entry point — the thin facade over the component
-/// engine: queue kind and macro-stepping are chosen by `options`. Every
-/// combination produces identical results (and an identical
+/// The sink receives pipeline busy intervals, FCFS-server queue/wait
+/// statistics, barrier arrivals/releases, deadlock context, and the
+/// completion summary. With a disabled sink (e.g.
+/// [`tacker_trace::NoopSink`]) this is the same hot path as [`simulate`]:
+/// `enabled()` is hoisted into a bool once at engine construction and no
+/// event is ever built. With an *enabled* sink, macro-stepping is forced
+/// off so the per-event stream (barrier arrivals, server statistics) is
+/// identical to the event-by-event reference engine.
+///
+/// Every option combination produces identical results (and an identical
 /// [`KernelRun::events`] count); only wall-clock speed and the
 /// [`KernelRun::pops`]/[`KernelRun::macro_runs`] accounting differ.
 ///
@@ -1190,8 +1173,16 @@ mod tests {
             locality: 0.0,
         };
         let plan = plan_of(vec![role("m", 4, vec![mem_op], 68)], 68);
-        let few = simulate_with_active_sms(&spec, &plan, 17).unwrap();
-        let many = simulate_with_active_sms(&spec, &plan, 68).unwrap();
+        let at = |sms| {
+            simulate_with_options(
+                &spec,
+                &plan,
+                sms,
+                &tacker_trace::NoopSink,
+                EngineOptions::default(),
+            )
+        };
+        let (few, many) = (at(17).unwrap(), at(68).unwrap());
         assert!(many.cycles > few.cycles);
         assert!(many.dram_bytes > 0.0);
     }
@@ -1361,7 +1352,7 @@ mod tests {
             1,
         );
         let sink = tacker_trace::RingSink::unbounded();
-        let run = simulate_traced(&spec, &plan, 68, &sink).unwrap();
+        let run = simulate_with_options(&spec, &plan, 68, &sink, EngineOptions::default()).unwrap();
         assert_eq!(run.macro_runs, 0);
         assert_eq!(run.pops, run.events);
         assert!(!sink.is_empty());

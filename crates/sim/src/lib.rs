@@ -38,11 +38,8 @@ pub mod spec;
 pub mod timeline;
 
 pub use concurrent::{corun, CorunPolicy, CorunReport};
-pub use device::{Device, DeviceComponent};
-pub use engine::{
-    simulate, simulate_traced, simulate_with_active_sms, simulate_with_options, EngineOptions,
-    QueueKind,
-};
+pub use device::Device;
+pub use engine::{simulate, simulate_with_options, EngineOptions, QueueKind};
 pub use error::SimError;
 pub use perturb::scale_run;
 pub use plan::ExecutablePlan;

@@ -1,6 +1,5 @@
 //! Golden pin of the component-core engine against the pre-refactor
-//! event-by-event engine, plus properties of the `tacker_sim::core`
-//! simulation kernel itself.
+//! event-by-event engine.
 //!
 //! The golden constants below were captured from the engine *before* it
 //! was rewritten onto the component/event-handler kernel, on a mixed
@@ -10,20 +9,9 @@
 //! blocks, so warps loop). Any drift in the trace stream or the
 //! `KernelRun` under the component engine is a determinism regression.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use proptest::prelude::*;
 use tacker_kernel::ast::{ComputeUnit, MemDir, MemSpace};
 use tacker_kernel::{BlockProgram, Op, ResourceUsage, WarpProgram, WarpRole};
-use tacker_sim::core::{
-    route_payload, Event, EventHandler, Router, Schedule, Simulation, SimulationContext,
-    ROUTE_PAYLOAD_MASK,
-};
-use tacker_sim::queue::{HeapQueue, SimQueue};
-use tacker_sim::{
-    simulate_traced, simulate_with_options, EngineOptions, ExecutablePlan, GpuSpec, QueueKind,
-};
+use tacker_sim::{simulate_with_options, EngineOptions, ExecutablePlan, GpuSpec, QueueKind};
 use tacker_trace::{NoopSink, RingSink};
 
 /// The pinned plan: a fused-style block with a TC role (compute →
@@ -92,7 +80,8 @@ fn golden_trace_and_run_match_pre_refactor_engine() {
     let spec = GpuSpec::rtx2080ti();
     let plan = mixed_ptb_plan();
     let sink = RingSink::unbounded();
-    let run = simulate_traced(&spec, &plan, 68, &sink).expect("golden plan simulates");
+    let run = simulate_with_options(&spec, &plan, 68, &sink, EngineOptions::default())
+        .expect("golden plan simulates");
     let events = sink.events();
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for ev in &events {
@@ -136,85 +125,5 @@ fn golden_trace_and_run_match_pre_refactor_engine() {
         assert_eq!(r.cycles.get(), GOLDEN_CYCLES, "{opts:?}");
         assert_eq!(r.events, GOLDEN_EVENTS, "{opts:?}");
         assert_eq!(r.dram_bytes.to_bits(), GOLDEN_DRAM_BYTES_BITS, "{opts:?}");
-    }
-}
-
-/// A component that appends every delivered event to a log shared by all
-/// probes, tagged with the probe's *logical* identity — so the global
-/// interleaving across components is observable.
-struct Probe {
-    tag: u8,
-    log: Rc<RefCell<Vec<(u8, u64, u32)>>>,
-}
-
-impl<Q: SimQueue> EventHandler<Q> for Probe {
-    fn on_event(&mut self, event: Event, _ctx: &mut SimulationContext<'_, Q>) {
-        self.log
-            .borrow_mut()
-            .push((self.tag, event.time.to_bits(), event.payload));
-    }
-}
-
-const PROBES: usize = 4;
-
-/// Runs `events` (time, logical component tag, payload) through a
-/// [`Router`] whose probes were registered in `order`, returning the
-/// globally observed `(tag, time, payload)` delivery sequence.
-fn observed_sequence(order: &[usize], events: &[(u32, usize, u32)]) -> Vec<(u8, u64, u32)> {
-    let log = Rc::new(RefCell::new(Vec::new()));
-    let mut probes: Vec<Probe> = order
-        .iter()
-        .map(|&tag| Probe {
-            tag: tag as u8,
-            log: Rc::clone(&log),
-        })
-        .collect();
-    let mut router = Router::new();
-    let mut address = [None; PROBES];
-    for probe in &mut probes {
-        let tag = probe.tag as usize;
-        address[tag] = Some(router.add(&format!("probe-{tag}"), probe));
-    }
-    let mut sim = Simulation::new(HeapQueue::new());
-    for &(time, tag, payload) in events {
-        sim.schedule(
-            f64::from(time),
-            route_payload(address[tag].expect("every tag registered"), payload),
-        );
-    }
-    sim.run(&mut router);
-    drop(router);
-    drop(probes);
-    Rc::try_unwrap(log).expect("probes dropped").into_inner()
-}
-
-/// The `n`-th (Lehmer-coded) permutation of `0..PROBES`.
-fn nth_permutation(mut n: usize) -> Vec<usize> {
-    let mut pool: Vec<usize> = (0..PROBES).collect();
-    let mut order = Vec::with_capacity(PROBES);
-    for k in (1..=PROBES).rev() {
-        order.push(pool.remove(n % k));
-        n /= k;
-    }
-    order
-}
-
-proptest! {
-    /// Registration order on the [`Router`] names destinations, nothing
-    /// more: the same schedule calls produce the identical global
-    /// delivery sequence — same components, same times, same payloads,
-    /// same interleaving — under any permutation of `Router::add` calls.
-    #[test]
-    fn router_delivery_is_independent_of_registration_order(
-        events in prop::collection::vec(
-            (0u32..64, 0usize..PROBES, 0u32..=ROUTE_PAYLOAD_MASK),
-            1..64,
-        ),
-        perm in 0usize..24,
-    ) {
-        let order = nth_permutation(perm);
-        let baseline = observed_sequence(&(0..PROBES).collect::<Vec<_>>(), &events);
-        let permuted = observed_sequence(&order, &events);
-        prop_assert_eq!(baseline, permuted, "registration order {:?} changed delivery", order);
     }
 }
