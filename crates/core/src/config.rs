@@ -2,6 +2,8 @@
 
 use tacker_kernel::SimTime;
 
+use crate::error::TackerError;
+
 /// Configuration of a co-location experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
@@ -68,15 +70,28 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the LC load factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 < load ≤ 1.0`.
+    /// Sets the LC load factor (a run rejects it unless `0 < load ≤ 1`;
+    /// see [`ExperimentConfig::validate`]).
     pub fn with_load(mut self, load: f64) -> Self {
-        assert!(load > 0.0 && load <= 1.0, "load factor {load} out of range");
         self.load_factor = load;
         self
+    }
+
+    /// Checks the configuration before a run uses it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TackerError::Config`] unless the load factor is finite
+    /// and `0 < load ≤ 1`.
+    pub fn validate(&self) -> Result<(), TackerError> {
+        let load = self.load_factor;
+        if load > 0.0 && load <= 1.0 {
+            Ok(())
+        } else {
+            Err(TackerError::Config {
+                reason: format!("load factor {load} is outside (0, 1]"),
+            })
+        }
     }
 }
 
@@ -106,9 +121,37 @@ mod tests {
         assert!(c.record_timeline);
     }
 
+    /// Out-of-range load factors end in a config error from both run
+    /// types, before any calibration.
     #[test]
-    #[should_panic]
-    fn zero_load_rejected() {
-        let _ = ExperimentConfig::default().with_load(0.0);
+    fn out_of_range_loads_rejected() {
+        use std::sync::Arc;
+
+        use tacker_sim::{Device, GpuSpec};
+        use tacker_workloads::gemm::{gemm_workload, GemmShape};
+        use tacker_workloads::LcService;
+
+        use crate::fleet::{heterogeneous_fleet, FleetRun};
+        use crate::serve::ColocationRun;
+
+        let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+        let gemm = tacker_workloads::dnn::compile::shared_gemm();
+        let shape = GemmShape::new(256, 256, 256);
+        let lcs = [LcService::new("tiny", 8, vec![gemm_workload(&gemm, shape)])];
+        let is_config = |r: Result<(), TackerError>| matches!(r, Err(TackerError::Config { .. }));
+        for load in [0.0, f64::NAN, -1.0, 1.5, f64::INFINITY] {
+            let config = ExperimentConfig::default().with_load(load);
+            assert!(is_config(config.validate()), "load {load}");
+            let run = ColocationRun::new(&device, &config, &lcs, &[]).unwrap();
+            assert!(is_config(run.run().map(drop)), "colocation at load {load}");
+            let fleet = FleetRun::new(heterogeneous_fleet(2), &config, &lcs).unwrap();
+            assert!(is_config(fleet.run().map(drop)), "fleet at load {load}");
+        }
+        for load in [1e-3, 0.8, 1.0] {
+            assert!(ExperimentConfig::default()
+                .with_load(load)
+                .validate()
+                .is_ok());
+        }
     }
 }
