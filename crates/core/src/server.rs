@@ -2,7 +2,8 @@
 //!
 //! The co-location engine itself lives in [`crate::serve`]; this module
 //! is calibration support ([`calibrate_peak_interarrival`],
-//! [`solo_query_duration`]). The `run_colocation*` free functions that
+//! [`solo_query_duration`], and the per-service load resolution both run
+//! types share). The `run_colocation*` free functions that
 //! once lived here are gone — [`ColocationRun`] is the single entry
 //! point (see README «Migrating» for the call-for-call table).
 
@@ -20,6 +21,59 @@ use crate::serve::ColocationRun;
 
 pub use crate::report::ServiceReport;
 pub use crate::serve::ServiceLoad;
+
+/// Resolves a run's per-service loads after validating `config`:
+/// explicit `loads` win, then a single service's explicit mean
+/// inter-arrival time; otherwise each service is calibrated to its peak
+/// supported load on the device `calibration` returns, and carries an
+/// equal share of the configured load factor so the combined LC demand
+/// stays feasible.
+pub(crate) fn resolve_loads(
+    config: &ExperimentConfig,
+    lcs: &[LcService],
+    loads: Option<&[ServiceLoad]>,
+    mean_interarrival: Option<SimTime>,
+    calibration: impl FnOnce() -> Arc<Device>,
+) -> Result<Vec<ServiceLoad>, TackerError> {
+    config.validate()?;
+    if let Some(loads) = loads {
+        return Ok(loads.to_vec());
+    }
+    if let Some(mean_interarrival) = mean_interarrival {
+        if lcs.len() != 1 {
+            return Err(TackerError::Config {
+                reason: "explicit inter-arrival needs exactly one service; use with_loads"
+                    .to_string(),
+            });
+        }
+        return Ok(vec![ServiceLoad {
+            lc: lcs[0].clone(),
+            mean_interarrival,
+            seed: config.seed,
+        }]);
+    }
+    // Calibration runs one full LC-only simulation per service, so
+    // multi-service setups fan the (independent, cached) calibrations out
+    // over the persistent pool; results join in service order, and
+    // per-service seeds depend only on the service index, so the loads are
+    // identical at any jobs count.
+    let share = lcs.len() as f64 / config.load_factor;
+    let device = calibration();
+    let calibration_config = config.clone();
+    let peaks = tacker_par::try_pool_map(config.jobs, lcs.to_vec(), move |_, lc| {
+        calibrate_peak_interarrival(&device, lc, &calibration_config)
+    })?;
+    Ok(lcs
+        .iter()
+        .zip(peaks)
+        .enumerate()
+        .map(|(i, (lc, peak))| ServiceLoad {
+            lc: lc.clone(),
+            mean_interarrival: peak.mul_f64(share),
+            seed: config.seed.wrapping_add(i as u64),
+        })
+        .collect())
+}
 
 /// The solo (un-co-located) duration of one LC query: the sum of its
 /// kernels' measured durations.
