@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tacker_kernel::{FpBuild, KernelId, SimTime};
+use tacker_kernel::{FpBuild, KernelId, SimTime, StableHasher};
 use tacker_predictor::KernelDurationModel;
 use tacker_sim::{Device, KernelRun};
 use tacker_trace::{NoopSink, TraceEvent, TraceSink};
@@ -258,6 +258,16 @@ impl KernelProfiler {
     }
 }
 
+/// The plan-sequence fingerprint of `lc`'s query: a hash of its kernels'
+/// launch fingerprints in order, the same on every GPU profile.
+pub(crate) fn query_fingerprint(lc: &LcService) -> u64 {
+    let mut hasher = StableHasher::new();
+    for &fp in lc.query_fingerprints() {
+        hasher.write_u64(fp);
+    }
+    hasher.finish()
+}
+
 /// One service's query measured on a GPU profile: every kernel's memoized
 /// zero-fault run, in sequence. The runs are the ones the decision loop's
 /// device probes return, so the busy-period replay reads them instead of
@@ -270,8 +280,9 @@ pub(crate) struct QueryProfile {
     /// The runs' durations, contiguous: all the replay reads per kernel
     /// unless windows or a timeline are recorded.
     pub(crate) durations: Vec<SimTime>,
-    /// The solo query time: the summed durations.
-    pub(crate) solo: SimTime,
+    /// Prefix sums of `durations`: `prefix[i]` is the time kernels `..i`
+    /// take, so a replayed segment's time is one subtraction.
+    prefix: Vec<SimTime>,
 }
 
 impl QueryProfile {
@@ -284,12 +295,42 @@ impl QueryProfile {
             .map(|(k, &fp)| device.run_keyed(fp, &k.def, || k.launch()))
             .collect::<Result<_, _>>()?;
         let durations: Vec<SimTime> = runs.iter().map(|r| r.duration).collect();
-        let solo = durations.iter().copied().sum();
+        let prefix = std::iter::once(SimTime::ZERO)
+            .chain(durations.iter().scan(SimTime::ZERO, |sum, &d| {
+                *sum += d;
+                Some(*sum)
+            }))
+            .collect();
         Ok(QueryProfile {
             runs,
             durations,
-            solo,
+            prefix,
         })
+    }
+
+    /// The solo query time: the summed durations.
+    pub(crate) fn solo(&self) -> SimTime {
+        self.prefix[self.durations.len()]
+    }
+
+    /// The time kernels `from..to` take back to back.
+    pub(crate) fn elapsed(&self, from: usize, to: usize) -> SimTime {
+        self.prefix[to] - self.prefix[from]
+    }
+
+    /// Where a replay of the query's kernels from `from` (a kernel still
+    /// to run) stops: after the first kernel by whose end `due` has
+    /// elapsed (the next arrival is due then), or after the last kernel if
+    /// the query retires first or `due` is `None`. The replay runs at
+    /// least one kernel, even when `due` is zero.
+    pub(crate) fn replay_end(&self, from: usize, due: Option<SimTime>) -> usize {
+        let kernels = self.durations.len();
+        let Some(due) = due else {
+            return kernels;
+        };
+        let start = self.prefix[from];
+        let before_due = self.prefix[from + 1..].partition_point(|&end| end - start < due);
+        (from + 1 + before_due).min(kernels)
     }
 }
 

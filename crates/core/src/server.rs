@@ -7,16 +7,16 @@
 //! once lived here are gone — [`ColocationRun`] is the single entry
 //! point (see README «Migrating» for the call-for-call table).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use tacker_kernel::SimTime;
-use tacker_sim::Device;
+use tacker_sim::{Device, GpuSpec};
 use tacker_workloads::LcService;
 
 use crate::config::ExperimentConfig;
 use crate::error::TackerError;
 use crate::manager::Policy;
-use crate::profile::KernelProfiler;
+use crate::profile::{query_fingerprint, KernelProfiler};
 use crate::serve::ColocationRun;
 
 pub use crate::report::ServiceReport;
@@ -95,7 +95,9 @@ pub fn solo_query_duration(
 /// Finds the service's *peak supported load* (§VIII-B): the highest
 /// Poisson arrival rate whose 99%-ile latency still meets the QoS target
 /// when the service runs alone. Returns the corresponding mean
-/// inter-arrival time. Results are cached per (service, config, device).
+/// inter-arrival time. Results are cached by content: the service's
+/// query kernels, the device's GPU profile, and the config fields the
+/// calibration runs read (QoS target, query count, seed).
 ///
 /// # Errors
 ///
@@ -105,11 +107,29 @@ pub fn calibrate_peak_interarrival(
     lc: &LcService,
     config: &ExperimentConfig,
 ) -> Result<SimTime, TackerError> {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    /// (service, device, qos ns, queries, seed) → peak inter-arrival.
-    type CalibrationKey = (String, String, u64, usize, u64);
-    static CACHE: OnceLock<Mutex<HashMap<CalibrationKey, SimTime>>> = OnceLock::new();
+    /// Everything a calibration reads. The GPU profile is compared whole,
+    /// like [`crate::fleet`]'s profile devices: two profiles of one name
+    /// can differ in any parameter.
+    #[derive(PartialEq)]
+    struct CalibrationKey {
+        kernels: u64,
+        gpu: GpuSpec,
+        qos_target: SimTime,
+        queries: usize,
+        seed: u64,
+    }
+    static CACHE: Mutex<Vec<(CalibrationKey, SimTime)>> = Mutex::new(Vec::new());
+    let cache = || CACHE.lock().expect("calibration cache poisoned");
+    let key = CalibrationKey {
+        kernels: query_fingerprint(lc),
+        gpu: device.spec().clone(),
+        qos_target: config.qos_target,
+        queries: config.queries,
+        seed: config.seed,
+    };
+    if let Some((_, hit)) = cache().iter().find(|(k, _)| *k == key) {
+        return Ok(*hit);
+    }
     // Calibration replays the experiment's own arrival sample (same seed
     // and query count) with BE disabled, so the chosen load provably meets
     // QoS for the arrivals the experiment will see — the paper's "without
@@ -118,21 +138,6 @@ pub fn calibrate_peak_interarrival(
         record_timeline: false,
         ..config.clone()
     };
-    let key = (
-        lc.name().to_string(),
-        device.spec().name.clone(),
-        config.qos_target.as_nanos(),
-        config.queries,
-        config.seed,
-    );
-    if let Some(hit) = CACHE
-        .get_or_init(Default::default)
-        .lock()
-        .expect("calibration cache poisoned")
-        .get(&key)
-    {
-        return Ok(*hit);
-    }
     let profiler = KernelProfiler::new(Arc::clone(device));
     let solo = solo_query_duration(&profiler, lc)?;
     let meets = |mult: f64| -> Result<bool, TackerError> {
@@ -142,37 +147,27 @@ pub fn calibrate_peak_interarrival(
             .run()?;
         Ok(r.p99_latency().is_none_or(|p| p <= config.qos_target))
     };
-    // Bisect the inter-arrival multiplier: larger = lighter load.
+    // Bisect the inter-arrival multiplier: larger = lighter load. A
+    // degenerate service, which misses QoS even at the lightest load,
+    // keeps that load.
     let (mut lo, mut hi) = (1.0_f64, 16.0_f64);
-    if !meets(hi)? {
-        // Degenerate service: even a light load misses QoS.
-        let v = solo.mul_f64(hi);
-        CACHE
-            .get_or_init(Default::default)
-            .lock()
-            .expect("calibration cache poisoned")
-            .insert(key, v);
-        return Ok(v);
-    }
-    if meets(lo)? {
-        hi = lo;
-    } else {
-        for _ in 0..10 {
-            let mid = 0.5 * (lo + hi);
-            if meets(mid)? {
-                hi = mid;
-            } else {
-                lo = mid;
+    if meets(hi)? {
+        if meets(lo)? {
+            hi = lo;
+        } else {
+            for _ in 0..10 {
+                let mid = 0.5 * (lo + hi);
+                if meets(mid)? {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
             }
         }
     }
-    let v = solo.mul_f64(hi);
-    CACHE
-        .get_or_init(Default::default)
-        .lock()
-        .expect("calibration cache poisoned")
-        .insert(key, v);
-    Ok(v)
+    let peak = solo.mul_f64(hi);
+    cache().push((key, peak));
+    Ok(peak)
 }
 
 #[cfg(test)]
@@ -303,6 +298,34 @@ mod tests {
         }
         assert!(r.be_work_rate() >= 0.0);
         assert!(r.qos_met());
+    }
+
+    #[test]
+    fn calibration_cache_is_keyed_by_content() {
+        // A seed no other test calibrates with, so every first lookup
+        // below misses.
+        let cfg = config().with_queries(20).with_seed(0xca1);
+        let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+        let peak = |device: &Arc<Device>, lc: &LcService| {
+            calibrate_peak_interarrival(device, lc, &cfg).unwrap()
+        };
+        let tiny = tiny_lc();
+        let full = peak(&device, &tiny);
+        // A same-named service with other kernels calibrates its own
+        // kernels: it reads the peak of a differently named service with
+        // the same kernels, not the cached peak of its namesake.
+        let half = tiny.query_kernels()[..2].to_vec();
+        let fresh = peak(&device, &LcService::new("tiny-half", 8, half.clone()));
+        assert_ne!(fresh, full, "the shorter query must calibrate differently");
+        assert_eq!(peak(&device, &LcService::new("tiny", 8, half)), fresh);
+        // Likewise a same-named GPU profile with other parameters.
+        let mut slow = GpuSpec::rtx2080ti();
+        slow.clock_ghz *= 0.5;
+        let mut renamed = slow.clone();
+        renamed.name.push_str(" (half clock)");
+        let fresh = peak(&Arc::new(Device::new(renamed)), &tiny);
+        assert_ne!(fresh, full, "a slower GPU must calibrate differently");
+        assert_eq!(peak(&Arc::new(Device::new(slow)), &tiny), fresh);
     }
 
     #[test]

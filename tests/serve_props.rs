@@ -173,6 +173,50 @@ proptest! {
         prop_assert_eq!(report_text(&fast), report_text(&slow));
     }
 
+    /// The busy-period replay with no observer (no windows, guard,
+    /// timeline or sink), where it advances a whole segment per step, is
+    /// bit-identical to the full decision loop: LC-only runs of one to
+    /// three services whose gaps range from well below one solo query
+    /// time (long busy periods cut by arrivals) to well above it (one
+    /// segment per query).
+    #[test]
+    fn unobserved_replay_reports_are_bit_identical(
+        seed in 0u64..1000,
+        gemm_m in 1024u64..4096,
+        services in 1usize..4,
+        gap_ratio in 0.3f64..3.0,
+    ) {
+        let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+        let profiler = tacker::KernelProfiler::new(Arc::clone(&device));
+        let lcs: Vec<LcService> = (0..services)
+            .map(|i| lc_service(gemm_m + 384 * i as u64))
+            .collect();
+        let loads: Vec<ServiceLoad> = lcs
+            .iter()
+            .enumerate()
+            .map(|(i, lc)| {
+                let solo = tacker::server::solo_query_duration(&profiler, lc).expect("solo");
+                ServiceLoad {
+                    lc: lc.clone(),
+                    mean_interarrival: solo.mul_f64(gap_ratio),
+                    seed: seed + i as u64,
+                }
+            })
+            .collect();
+        let config = ExperimentConfig::default().with_queries(16).with_seed(seed);
+        let build = |fast: bool| {
+            ColocationRun::new(&device, &config, &lcs, &[])
+                .expect("build")
+                .with_loads(&loads)
+                .steady_fast_path(fast)
+                .run()
+                .expect("run")
+        };
+        let fast = build(true);
+        let slow = build(false);
+        prop_assert_eq!(report_text(&fast), report_text(&slow));
+    }
+
     /// The idle-period replay is bit-identical to the full decision loop
     /// with BE work admitted: Tacker or Baymax, one or two BE apps, gaps
     /// from below to well above the solo query time (so idle periods
