@@ -26,9 +26,10 @@
 //!   skew and per-device utilization per policy. These are simulated-
 //!   domain numbers — host timing plays no part.
 //!
-//! Provenance: the JSON records `host_cores`, the requested and used
-//! worker counts, and the fallback flag, so the artifact explains its
-//! own gate.
+//! Provenance: the JSON records `host_cores`, the requested worker count,
+//! the count the two-device fleet actually uses
+//! ([`FleetRun::jobs_used`]: 1 when it serves inline), and the fallback
+//! flag, so the artifact explains its own gate.
 //!
 //! Usage: `cargo run --release -p tacker-bench --bin cluster_bench
 //! [-- <out.json>] [-- --check]` (default `results/BENCH_cluster.json`).
@@ -155,10 +156,12 @@ fn main() {
     // Two device tasks at most: the pool runs min(jobs, cores, devices)
     // workers, so a single-core host executes both configurations on the
     // identical serial path.
-    let jobs_used = jobs_requested.min(host_cores).min(2);
-    let serial_fallback = jobs_used <= 1;
+    let serial_fallback = jobs_requested.min(host_cores).min(2) <= 1;
 
     let lcs = services();
+    let jobs_used = FleetRun::new(homogeneous(2), &config(jobs_requested), &lcs)
+        .expect("fleet")
+        .jobs_used();
 
     eprintln!("identity gate (fleet-of-1 == single device) ...");
     identity_gate(&lcs);

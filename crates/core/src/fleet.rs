@@ -650,7 +650,8 @@ impl FleetRun {
 
         let policy = self.device_policy;
         let opts_template = self.device_options();
-        let jobs = self.replay_jobs(&opts_template, &device_config, merged.len());
+        debug_assert_eq!(merged.len(), self.routed_queries(), "routed query count");
+        let jobs = self.jobs_used();
         let reports: Vec<Option<Result<RunReport, TackerError>>> =
             tacker_par::pool_map(jobs, tasks, move |_, task: &Option<DeviceTask>| {
                 let task = task.as_ref()?;
@@ -667,6 +668,7 @@ impl FleetRun {
                     Arc::new(NoopSink),
                     &opts,
                     Some(task.measured.clone()),
+                    None,
                 ))
             });
 
@@ -688,23 +690,38 @@ impl FleetRun {
         }
     }
 
-    /// Workers for the per-device replays of `queries` routed queries: one
-    /// (inline) when every device replays by segment and there are fewer
-    /// than [`INLINE_REPLAY_QUERIES`] (devices serve with a no-op sink),
-    /// the configured jobs otherwise. Results do not depend on it.
-    fn replay_jobs(
-        &self,
-        opts: &ServeOptions,
-        device_config: &ExperimentConfig,
-        queries: usize,
-    ) -> usize {
-        let by_segment = self.nodes.iter().all(|node| {
-            opts.replays_by_segment(device_config, self.device_policy, &node.be, false)
-        });
+    /// The worker count a run will actually use for its per-device
+    /// serving: one (inline) when every device replays by segment and
+    /// fewer than [`INLINE_REPLAY_QUERIES`] queries are routed (devices
+    /// serve with a no-op sink), otherwise the configured jobs resolved
+    /// against the host and the node count. Results do not depend on it.
+    pub fn jobs_used(&self) -> usize {
+        self.replay_jobs(self.routed_queries())
+    }
+
+    /// [`FleetRun::jobs_used`] for `queries` routed queries.
+    fn replay_jobs(&self, queries: usize) -> usize {
+        let opts = self.device_options();
+        let by_segment = self
+            .nodes
+            .iter()
+            .all(|node| opts.replays_by_segment(&self.config, self.device_policy, &node.be, false));
         if by_segment && queries < INLINE_REPLAY_QUERIES {
             1
         } else {
-            self.config.jobs
+            tacker_par::planned_jobs(self.config.jobs, self.nodes.len(), u64::MAX)
+        }
+    }
+
+    /// How many queries a run routes: every replayed arrival, or the
+    /// configured queries of each service.
+    fn routed_queries(&self) -> usize {
+        match &self.arrivals {
+            ArrivalSpec::Replay(streams) => streams.iter().map(Vec::len).sum(),
+            _ => {
+                let services = self.loads.as_ref().map_or(self.lcs.len(), Vec::len);
+                services * self.config.queries
+            }
         }
     }
 
@@ -998,25 +1015,52 @@ mod tests {
     fn small_segment_replay_fleets_serve_inline() {
         let cfg = config().with_jobs(4);
         let fleet = || FleetRun::new(heterogeneous_fleet(2), &cfg, &[tiny_lc()]).unwrap();
-        let jobs = |run: &FleetRun, queries| run.replay_jobs(&run.device_options(), &cfg, queries);
+        // The pool runs at most one worker per node and per host core.
+        let pooled = |nodes| tacker_par::planned_jobs(4, nodes, u64::MAX);
         let lc_only = fleet();
-        assert_eq!(jobs(&lc_only, INLINE_REPLAY_QUERIES - 1), 1);
-        assert_eq!(jobs(&lc_only, INLINE_REPLAY_QUERIES), 4);
+        assert_eq!(lc_only.replay_jobs(INLINE_REPLAY_QUERIES - 1), 1);
+        assert_eq!(lc_only.replay_jobs(INLINE_REPLAY_QUERIES), pooled(2));
         // Every other device replays kernel by kernel: the pool pays.
         let windowed = fleet().windowed(SimTime::from_millis(10));
         let guarded = fleet().guarded(GuardConfig::default());
         let decision_loop = fleet().steady_fast_path(false);
         for run in [&windowed, &guarded, &decision_loop] {
-            assert_eq!(jobs(run, 24), 4);
+            assert_eq!(run.replay_jobs(24), pooled(2));
         }
         let nodes = || vec![FleetNode::new("gpu-0", GpuSpec::rtx2080ti()).with_be(tiny_be())];
         let with_be = FleetRun::new(nodes(), &cfg, &[tiny_lc()]).unwrap();
-        assert_eq!(jobs(&with_be, 24), 4);
+        assert_eq!(with_be.replay_jobs(24), pooled(1));
         // BE work the policy never admits leaves the node LC-only.
         let be_idle = FleetRun::new(nodes(), &cfg, &[tiny_lc()])
             .unwrap()
             .device_policy(Policy::LcOnly);
-        assert_eq!(jobs(&be_idle, 24), 1);
+        assert_eq!(be_idle.replay_jobs(24), 1);
+    }
+
+    #[test]
+    fn jobs_used_reports_the_inline_and_pooled_worker_counts() {
+        let cfg = config().with_jobs(4);
+        let fleet = |lcs: &[LcService]| FleetRun::new(heterogeneous_fleet(3), &cfg, lcs).unwrap();
+        // Served inline: a small LC-only fleet replays by segment.
+        let inline = fleet(&[tiny_lc()]);
+        assert_eq!(inline.routed_queries(), cfg.queries);
+        assert_eq!(inline.jobs_used(), 1);
+        // Pooled: windows make every device decide per kernel.
+        let pooled = fleet(&[tiny_lc(), tiny_lc()]).windowed(SimTime::from_millis(10));
+        assert_eq!(pooled.routed_queries(), 2 * cfg.queries);
+        assert_eq!(
+            pooled.jobs_used(),
+            4.min(tacker_par::available_jobs()).min(3)
+        );
+        // Replayed arrivals count as routed; past the inline threshold
+        // the pool serves even segment replays.
+        let streams = vec![vec![SimTime::ZERO; INLINE_REPLAY_QUERIES]];
+        let replayed = fleet(&[tiny_lc()]).arrivals(ArrivalSpec::Replay(streams));
+        assert_eq!(replayed.routed_queries(), INLINE_REPLAY_QUERIES);
+        assert_eq!(
+            replayed.jobs_used(),
+            tacker_par::planned_jobs(4, 3, u64::MAX)
+        );
     }
 
     #[test]

@@ -11,16 +11,32 @@
 //! 4. serves duration predictions to the online manager and refreshes
 //!    models when online error exceeds the 10% threshold.
 //!
-//! Pairs are prepared lazily and cached; a pair whose Tensor kernel is a
-//! black-box cuDNN implementation never enters the library (its source is
-//! unavailable for fusion).
+//! Pairs are prepared lazily and cached under a key; a pair whose
+//! Tensor kernel is a black-box cuDNN implementation never enters the
+//! library (its source is unavailable for fusion).
 //!
-//! Preparation runs on the calling thread, in a fixed order: candidates
-//! in enumeration order, then the load ratios in [`PROFILE_RATIOS`] order.
-//! The only parallel layer is the sweep above it, one cell per worker; a
-//! nested fan-out here would drive one run's [`KernelProfiler`] from
-//! several threads, and its predictions depend on call order.
+//! **An entry is a pure function of the pair it is prepared from.**
+//! Preparation profiles on a pair-local [`KernelProfiler`] over the
+//! library's device: it measures the Tensor member directly and fits only
+//! the CUDA member's LR model, so no caller's profiler history (nor the
+//! device's cache warmth) reaches the entry. Preparation runs on the
+//! calling thread, in a fixed order: candidates in enumeration order, then
+//! the load ratios in [`PROFILE_RATIOS`] order.
+//!
+//! **Which pair a key is prepared from.** A key covers every launch of the
+//! same two definitions within the same work buckets. A library *scoped*
+//! to the (LC kernel × BE kernel) pairs it serves prepares each key from
+//! its canonical member, the in-scope pair with the smallest
+//! `(tc fingerprint, cd fingerprint)`; that depends on the set of pairs,
+//! not on which caller met the key first. An unscoped library
+//! ([`FusionLibrary::new`]) prepares each key from the first pair asked.
+//!
+//! **Per-run state.** A run never mutates a shared entry: it serves from
+//! a view (`FusionLibrary::for_run`) that copies each entry on first
+//! use, so strikes and online refits stay within the run, and the run's
+//! shapes that share a key share its copy.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -30,7 +46,8 @@ use tacker_fuser::{
 };
 use tacker_kernel::{KernelId, KernelKind, SimTime, SmCapacity};
 use tacker_predictor::FusedPairModel;
-use tacker_workloads::WorkloadKernel;
+use tacker_sim::Device;
+use tacker_workloads::{BeApp, LcService, WorkloadKernel};
 
 use crate::error::TackerError;
 use crate::profile::{work_feature, KernelProfiler};
@@ -91,11 +108,53 @@ fn work_bucket(wk: &WorkloadKernel) -> u32 {
     (work_feature(wk).max(1.0) as u64).ilog2() / 2
 }
 
+fn pair_key(tc: &WorkloadKernel, cd: &WorkloadKernel) -> PairKey {
+    (tc.def.id(), cd.def.id(), work_bucket(tc), work_bucket(cd))
+}
+
+/// Each distinct (definition, work bucket) among `kernels`, as its
+/// member with the smallest fingerprint.
+fn group_minima<'a>(
+    kernels: impl Iterator<Item = (&'a WorkloadKernel, u64)>,
+) -> Vec<(&'a WorkloadKernel, u64)> {
+    let mut groups: HashMap<(KernelId, u32), (&WorkloadKernel, u64)> = HashMap::new();
+    for (k, fp) in kernels {
+        groups
+            .entry((k.def.id(), work_bucket(k)))
+            .and_modify(|min| {
+                if fp < min.1 {
+                    *min = (k, fp);
+                }
+            })
+            .or_insert((k, fp));
+    }
+    groups.into_values().collect()
+}
+
+/// What `prepare` answers for a key: the entry, or `None` when the pair is
+/// declined.
+type Prepared = Option<Arc<Mutex<PairEntry>>>;
+
+/// Where a library's entries come from.
+enum Source {
+    /// Each key is prepared from the first pair asked.
+    FirstAsked,
+    /// Each key is prepared from its canonical member (see the module
+    /// docs); a pair outside the scope is prepared as asked.
+    Scoped(HashMap<PairKey, (WorkloadKernel, WorkloadKernel)>),
+    /// A run's view: each key's entry is copied from the shared library.
+    Copies(Arc<FusionLibrary>),
+}
+
 /// The fusion library.
 pub struct FusionLibrary {
-    profiler: Arc<KernelProfiler>,
+    device: Arc<Device>,
     pack: PackPriority,
-    entries: Mutex<HashMap<PairKey, Option<Arc<Mutex<PairEntry>>>>>,
+    source: Source,
+    /// One slot per key asked for, filled once. A preparer holds its key's
+    /// slot while it builds, so racing callers of one key wait for the
+    /// entry instead of preparing it again.
+    entries: Mutex<HashMap<PairKey, Arc<Mutex<Option<Prepared>>>>>,
     /// Memoized fused-kernel construction, keyed by the component kernels'
     /// content-derived ids and the fusion ratio. `fuse_flexible` is
     /// deterministic and content ids are stable across runs, so a ratio
@@ -105,24 +164,101 @@ pub struct FusionLibrary {
 }
 
 impl FusionLibrary {
-    /// Creates a library over a profiler (and its device).
-    pub fn new(profiler: Arc<KernelProfiler>) -> FusionLibrary {
+    fn with_source(device: Arc<Device>, pack: PackPriority, source: Source) -> FusionLibrary {
         FusionLibrary {
-            profiler,
-            pack: PackPriority::TensorFirst,
+            device,
+            pack,
+            source,
             entries: Mutex::new(HashMap::new()),
             fused_defs: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Creates a library with an explicit packing priority (ablation).
+    /// Creates an unscoped library over a profiler's device: each key is
+    /// prepared from the first pair asked. The profiler's own history is
+    /// neither read nor written (see the module docs).
+    pub fn new(profiler: Arc<KernelProfiler>) -> FusionLibrary {
+        FusionLibrary::with_priority(profiler, PackPriority::TensorFirst)
+    }
+
+    /// Creates an unscoped library with an explicit packing priority
+    /// (ablation).
     pub fn with_priority(profiler: Arc<KernelProfiler>, pack: PackPriority) -> FusionLibrary {
-        FusionLibrary {
-            profiler,
-            pack,
-            entries: Mutex::new(HashMap::new()),
-            fused_defs: Mutex::new(HashMap::new()),
+        FusionLibrary::with_source(Arc::clone(profiler.device()), pack, Source::FirstAsked)
+    }
+
+    /// A library on `device` scoped to every (LC query kernel × BE task
+    /// kernel) pair of `lcs` × `bes` that orients as (Tensor, CUDA): each
+    /// key is prepared from its member with the smallest `(tc fingerprint,
+    /// cd fingerprint)`.
+    pub(crate) fn scoped<'a>(
+        device: &Arc<Device>,
+        lcs: impl IntoIterator<Item = &'a LcService>,
+        bes: &[BeApp],
+    ) -> FusionLibrary {
+        // A key's members from one orientation are the product of two
+        // kernel groups (same definition and work bucket), whose smallest
+        // pair is the pair of the groups' smallest members: pairing group
+        // minima finds every key's canonical member.
+        let be_groups = group_minima(
+            bes.iter()
+                .flat_map(BeApp::task_kernels)
+                .map(|k| (k, k.fingerprint())),
+        );
+        // Without BE kernels there is no pair (an LC-only run, such as a
+        // peak-load calibration), so the LC kernels are not even grouped.
+        let lc_groups = if be_groups.is_empty() {
+            Vec::new()
+        } else {
+            group_minima(lcs.into_iter().flat_map(|lc| {
+                lc.query_kernels()
+                    .iter()
+                    .zip(lc.query_fingerprints().iter().copied())
+            }))
+        };
+        let mut members: HashMap<PairKey, ((u64, u64), &WorkloadKernel, &WorkloadKernel)> =
+            HashMap::new();
+        for &(lk, lfp) in &lc_groups {
+            for &(bk, bfp) in &be_groups {
+                let Some((tc, cd)) = FusionLibrary::orient(lk, bk) else {
+                    continue;
+                };
+                let fps = if std::ptr::eq(tc, lk) {
+                    (lfp, bfp)
+                } else {
+                    (bfp, lfp)
+                };
+                match members.entry(pair_key(tc, cd)) {
+                    Entry::Vacant(v) => {
+                        v.insert((fps, tc, cd));
+                    }
+                    Entry::Occupied(mut o) if fps < o.get().0 => {
+                        o.insert((fps, tc, cd));
+                    }
+                    Entry::Occupied(_) => {}
+                }
+            }
         }
+        let members = members
+            .into_iter()
+            .map(|(key, (_, tc, cd))| (key, (tc.clone(), cd.clone())))
+            .collect();
+        FusionLibrary::with_source(
+            Arc::clone(device),
+            PackPriority::TensorFirst,
+            Source::Scoped(members),
+        )
+    }
+
+    /// A run's view of `shared`: it answers with a copy of each shared
+    /// entry, taken on first use, so what the run's launches change
+    /// (strikes, online refits) never reaches another run.
+    pub(crate) fn for_run(shared: &Arc<FusionLibrary>) -> FusionLibrary {
+        FusionLibrary::with_source(
+            Arc::clone(&shared.device),
+            shared.pack,
+            Source::Copies(Arc::clone(shared)),
+        )
     }
 
     /// Kept for source compatibility and ignored: preparation always runs
@@ -146,13 +282,13 @@ impl FusionLibrary {
     /// A grid for `cd` whose predicted duration is `ratio ×` the predicted
     /// duration of `tc`, derived from the per-kernel LR models.
     fn cd_grid_for_ratio(
-        &self,
+        profiler: &KernelProfiler,
         tc: &WorkloadKernel,
         cd: &WorkloadKernel,
         ratio: f64,
     ) -> Result<u64, TackerError> {
-        let t_tc = self.profiler.predict(tc)?;
-        let t_cd_unit = self.profiler.predict(cd)?;
+        let t_tc = profiler.predict(tc)?;
+        let t_cd_unit = profiler.predict(cd)?;
         if t_cd_unit == SimTime::ZERO {
             return Ok(cd.grid.max(1));
         }
@@ -195,15 +331,14 @@ impl FusionLibrary {
         cd_grid: u64,
     ) -> Result<SimTime, TackerError> {
         let launch = fused.launch(tc.grid, cd_grid, &tc.bindings, &cd.bindings);
-        Ok(self.profiler.device().run_launch(&launch)?.duration)
+        Ok(self.device.run_launch(&launch)?.duration)
     }
 
-    /// Prepares (or retrieves) the entry for an oriented pair, using the
-    /// given launches as the profiling workload.
+    /// Prepares (or retrieves) the entry for an oriented pair's key.
     ///
     /// Returns `None` when the pair is not fusable or the offline
     /// measurement decided sequential execution is faster. Once prepared,
-    /// a pair's result never changes: later calls return the same entry.
+    /// a key's result never changes: later calls return the same entry.
     ///
     /// # Errors
     ///
@@ -213,25 +348,33 @@ impl FusionLibrary {
         &self,
         tc: &WorkloadKernel,
         cd: &WorkloadKernel,
-    ) -> Result<Option<Arc<Mutex<PairEntry>>>, TackerError> {
-        let key = (tc.def.id(), cd.def.id(), work_bucket(tc), work_bucket(cd));
-        if let Some(cached) = self.entries.lock().expect("entries poisoned").get(&key) {
-            return Ok(cached.clone());
+    ) -> Result<Prepared, TackerError> {
+        let key = pair_key(tc, cd);
+        let slot = Arc::clone(
+            self.entries
+                .lock()
+                .expect("entries poisoned")
+                .entry(key)
+                .or_default(),
+        );
+        let mut slot = slot.lock().expect("entry slot poisoned");
+        if let Some(prepared) = &*slot {
+            return Ok(prepared.clone());
         }
-        let entry = self.build_entry(tc, cd)?;
-        let entry = entry.map(|e| Arc::new(Mutex::new(e)));
-        // First insert wins: a racing preparer of the same pair adopts the
-        // resident entry, so every caller holds the one entry of a pair
-        // (the manager memoizes it per pair for the rest of a run).
-        Ok(self
-            .entries
-            .lock()
-            .expect("entries poisoned")
-            .entry(key)
-            .or_insert(entry)
-            .clone())
+        let entry = match &self.source {
+            Source::FirstAsked => self.build_entry(tc, cd)?,
+            Source::Scoped(members) => {
+                let (tc, cd) = members.get(&key).map_or((tc, cd), |(tc, cd)| (tc, cd));
+                self.build_entry(tc, cd)?
+            }
+            Source::Copies(shared) => shared
+                .prepare(tc, cd)?
+                .map(|e| e.lock().expect("entry poisoned").clone()),
+        };
+        Ok(slot.insert(entry.map(|e| Arc::new(Mutex::new(e)))).clone())
     }
 
+    /// The entry of one pair, profiled on a pair-local profiler.
     fn build_entry(
         &self,
         tc: &WorkloadKernel,
@@ -244,16 +387,20 @@ impl FusionLibrary {
         if tc.def.is_opaque() || cd.def.is_opaque() {
             return Ok(None);
         }
-        let spec = self.profiler.device().spec().clone();
+        let spec = self.device.spec().clone();
         let configs = enumerate_configs(&tc.def, &cd.def, &spec.sm, self.pack);
         if configs.is_empty() {
             return Ok(None);
         }
+        // The Tensor member is measured, so its predictions below answer
+        // from history; only the CUDA member's LR model is fitted.
+        let profiler = KernelProfiler::new(Arc::clone(&self.device));
+        let t_tc = profiler.measure(tc)?;
         // Balanced profiling workload: CD sized to match the TC duration.
-        let cd_grid = self.cd_grid_for_ratio(tc, cd, 1.0)?;
+        let cd_grid = Self::cd_grid_for_ratio(&profiler, tc, cd, 1.0)?;
         let mut cd_balanced = cd.clone();
         cd_balanced.grid = cd_grid;
-        let sequential = self.profiler.measure(tc)? + self.profiler.measure(&cd_balanced)?;
+        let sequential = t_tc + profiler.measure(&cd_balanced)?;
 
         let candidates: Vec<FusedKernel> = configs
             .into_iter()
@@ -276,20 +423,19 @@ impl FusionLibrary {
         // sees the calls a ratio-by-ratio loop makes, since fused
         // measurements touch only the device — and then the fused
         // launches, equal but for the CD grid, run as one family.
-        let x_tc = self.profiler.predict(tc)?;
         let mut x_cds = Vec::with_capacity(PROFILE_RATIOS.len());
         let mut launches = Vec::with_capacity(PROFILE_RATIOS.len());
         for ratio in PROFILE_RATIOS {
-            let g = self.cd_grid_for_ratio(tc, cd, ratio)?;
+            let g = Self::cd_grid_for_ratio(&profiler, tc, cd, ratio)?;
             let mut cd_scaled = cd.clone();
             cd_scaled.grid = g;
-            x_cds.push(self.profiler.predict(&cd_scaled)?);
+            x_cds.push(profiler.predict(&cd_scaled)?);
             launches.push(kernel.launch(tc.grid, g, &tc.bindings, &cd.bindings));
         }
         let samples = x_cds
             .into_iter()
-            .zip(self.profiler.device().run_family(&launches))
-            .map(|(x_cd, run)| Ok((x_cd.ratio(x_tc), run?.duration.ratio(x_tc))))
+            .zip(self.device.run_family(&launches))
+            .map(|(x_cd, run)| Ok((x_cd.ratio(t_tc), run?.duration.ratio(t_tc))))
             .collect::<Result<Vec<(f64, f64)>, TackerError>>()?;
         // A pair whose duration cannot be modelled (e.g. degenerate
         // profiling ratios for very coarse CD kernels) is not fused: no
@@ -309,9 +455,24 @@ impl FusionLibrary {
         }))
     }
 
+    /// The answers of every prepared key (including declined ones).
+    fn prepared(&self) -> Vec<Prepared> {
+        let slots: Vec<_> = self
+            .entries
+            .lock()
+            .expect("entries poisoned")
+            .values()
+            .cloned()
+            .collect();
+        slots
+            .iter()
+            .filter_map(|slot| slot.lock().expect("entry slot poisoned").clone())
+            .collect()
+    }
+
     /// Number of prepared pairs (including declined ones).
     pub fn prepared_pairs(&self) -> usize {
-        self.entries.lock().expect("entries poisoned").len()
+        self.prepared().len()
     }
 
     /// Number of memoized fused-kernel constructions (one per distinct
@@ -322,12 +483,7 @@ impl FusionLibrary {
 
     /// Number of pairs that fused (entries with a kernel).
     pub fn fused_pairs(&self) -> usize {
-        self.entries
-            .lock()
-            .expect("entries poisoned")
-            .values()
-            .filter(|v| v.is_some())
-            .count()
+        self.prepared().iter().filter(|p| p.is_some()).count()
     }
 }
 
@@ -396,29 +552,135 @@ mod tests {
         assert_eq!(lib.fused_pairs(), 1);
     }
 
+    /// The fields two entries of one pair must agree on.
+    type Fields = (
+        FusionConfig,
+        KernelId,
+        FusedPairModel,
+        SimTime,
+        SimTime,
+        u32,
+    );
+
+    fn fields(lib: &FusionLibrary, tc: &WorkloadKernel, cd: &WorkloadKernel) -> Option<Fields> {
+        let entry = lib.prepare(tc, cd).unwrap()?;
+        let e = entry.lock().unwrap().clone();
+        Some((
+            e.fused.config(),
+            e.fused.def().id(),
+            e.model,
+            e.offline_fused,
+            e.offline_sequential,
+            e.strikes,
+        ))
+    }
+
+    fn library_on(device: &Arc<Device>) -> FusionLibrary {
+        FusionLibrary::new(Arc::new(KernelProfiler::new(Arc::clone(device))))
+    }
+
+    fn cold_device() -> Arc<Device> {
+        Arc::new(Device::new(GpuSpec::rtx2080ti()))
+    }
+
     #[test]
-    fn preparation_is_reproducible_on_a_shared_device() {
-        // The second library finds every fused run memoized by the first;
-        // a fresh profiler drives the same calls in the same order, so the
-        // entries agree field for field.
-        let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+    fn entries_are_pure_functions_of_their_pair() {
         let tc = tc_kernel();
         let cd = Benchmark::Cutcp.task()[0].clone();
-        let prepare = || {
-            let lib = FusionLibrary::new(Arc::new(KernelProfiler::new(Arc::clone(&device))));
-            let entry = lib.prepare(&tc, &cd).unwrap().expect("fuses");
-            let e = entry.lock().unwrap().clone();
-            e
-        };
-        let cold = prepare();
-        let warm = prepare();
-        assert_eq!(cold.fused.config(), warm.fused.config());
-        assert_eq!(cold.offline_fused, warm.offline_fused);
-        assert_eq!(cold.offline_sequential, warm.offline_sequential);
+        let alone = fields(&library_on(&cold_device()), &tc, &cd).expect("fuses");
+
+        // After other pairs of the same definitions (other keys), on a
+        // library whose profiler already fitted models from other launches.
+        let device = cold_device();
+        let profiler = Arc::new(KernelProfiler::new(Arc::clone(&device)));
+        let other_tc = gemm_workload(&tc.def, GemmShape::new(512, 512, 256));
+        let other_cd = Benchmark::Cutcp.task_scaled(16)[0].clone();
+        assert_ne!(pair_key(&other_tc, &cd), pair_key(&tc, &cd));
+        assert_ne!(pair_key(&tc, &other_cd), pair_key(&tc, &cd));
+        profiler.predict(&other_tc).unwrap();
+        profiler.predict(&other_cd).unwrap();
+        let lib = FusionLibrary::new(profiler);
+        lib.prepare(&other_tc, &cd).unwrap();
+        lib.prepare(&tc, &other_cd).unwrap();
         assert_eq!(
-            cold.model.opportune_load_ratio(),
-            warm.model.opportune_load_ratio()
+            fields(&lib, &tc, &cd).as_ref(),
+            Some(&alone),
+            "after other pairs"
         );
+
+        // On a warm device: every run above is memoized.
+        assert_eq!(
+            fields(&library_on(&device), &tc, &cd).as_ref(),
+            Some(&alone),
+            "warm"
+        );
+
+        // Two libraries preparing at once on one cold device.
+        let device = cold_device();
+        let raced: Vec<Option<Fields>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| fields(&library_on(&device), &tc, &cd)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for entry in &raced {
+            assert_eq!(entry.as_ref(), Some(&alone), "raced");
+        }
+    }
+
+    #[test]
+    fn scoped_libraries_prepare_each_key_from_its_canonical_member() {
+        // Two GEMM launches in one work bucket: one key, two members.
+        let def = tacker_workloads::dnn::compile::shared_gemm();
+        let a = gemm_workload(&def, GemmShape::new(2048, 2048, 1024));
+        let b = gemm_workload(&def, GemmShape::new(2048, 2048, 1152));
+        let be = BeApp::new(
+            "cutcp",
+            tacker_workloads::Intensity::Compute,
+            Benchmark::Cutcp.task(),
+        );
+        let cd = &be.task_kernels()[0];
+        assert_eq!(pair_key(&a, cd), pair_key(&b, cd));
+        let (canonical, other) = if a.fingerprint() < b.fingerprint() {
+            (&a, &b)
+        } else {
+            (&b, &a)
+        };
+        let device = cold_device();
+        let reference = fields(&library_on(&device), canonical, cd);
+        assert!(reference.is_some());
+        assert_ne!(fields(&library_on(&device), other, cd), reference);
+
+        let svc_a = LcService::new("a", 8, vec![a.clone()]);
+        let svc_b = LcService::new("b", 8, vec![b.clone()]);
+        for lcs in [[&svc_a, &svc_b], [&svc_b, &svc_a]] {
+            for asked in [&a, &b] {
+                let lib = FusionLibrary::scoped(&device, lcs, std::slice::from_ref(&be));
+                assert_eq!(fields(&lib, asked, cd), reference);
+            }
+        }
+    }
+
+    #[test]
+    fn run_views_copy_entries_on_first_use() {
+        let (_, shared) = setup();
+        let shared = Arc::new(shared);
+        let tc = tc_kernel();
+        let cd = Benchmark::Cutcp.task()[0].clone();
+        let run = FusionLibrary::for_run(&shared);
+        let entry = run.prepare(&tc, &cd).unwrap().expect("fuses");
+        entry.lock().unwrap().strikes = PairEntry::MAX_STRIKES;
+        // The run's later asks share its copy; nobody else sees it.
+        let again = run.prepare(&tc, &cd).unwrap().expect("fuses");
+        assert!(Arc::ptr_eq(&entry, &again));
+        let eligible = |lib: &FusionLibrary| {
+            let e = lib.prepare(&tc, &cd).unwrap().expect("fuses");
+            let eligible = e.lock().unwrap().eligible();
+            eligible
+        };
+        assert!(eligible(&shared));
+        assert!(eligible(&FusionLibrary::for_run(&shared)));
+        assert_eq!(shared.prepared_pairs(), 1);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! an (LC, BE) head pair within a run in a [`PairSlot`]: the orientation,
 //! the library entry and the fused launch. Everything that does change —
 //! strikes, predictions, the fused model, headroom, the guard — is read
-//! fresh at every decision.
+//! fresh at every decision. A serve run hands the manager its own view of
+//! the library (`FusionLibrary::for_run`), so the entries it strikes and
+//! refits are the run's copies.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -178,8 +180,9 @@ enum PairSlot {
     Prepared {
         /// Whether the LC head is the Tensor component.
         lc_is_tc: bool,
-        /// The library entry; its strikes and model change online and are
-        /// read under its lock at every decision.
+        /// The library's entry for the pair's key (in a serve run, the
+        /// run's copy); its strikes and model change online and are read
+        /// under its lock at every decision.
         entry: Arc<Mutex<PairEntry>>,
         /// The fused launch and its fingerprint, built on first accept.
         launch: Option<(Arc<KernelLaunch>, u64)>,

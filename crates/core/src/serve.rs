@@ -197,6 +197,9 @@ pub struct ColocationRun<'a> {
     loads: Option<Vec<ServiceLoad>>,
     sink: Arc<dyn TraceSink>,
     options: ServeOptions,
+    /// The fusion library shared with other runs (a sweep's); `None`
+    /// scopes a private one to this run's services and BE apps.
+    library: Option<Arc<FusionLibrary>>,
 }
 
 impl<'a> ColocationRun<'a> {
@@ -229,6 +232,7 @@ impl<'a> ColocationRun<'a> {
             loads: None,
             sink: Arc::new(NoopSink),
             options: ServeOptions::default(),
+            library: None,
         })
     }
 
@@ -330,6 +334,14 @@ impl<'a> ColocationRun<'a> {
         self
     }
 
+    /// Serves fusion from `library`, shared with other runs on the same
+    /// device, instead of a library scoped to this run alone.
+    #[must_use]
+    pub(crate) fn with_library(mut self, library: &Arc<FusionLibrary>) -> Self {
+        self.library = Some(Arc::clone(library));
+        self
+    }
+
     /// Executes the run.
     ///
     /// # Errors
@@ -354,6 +366,7 @@ impl<'a> ColocationRun<'a> {
             self.sink,
             &self.options,
             None,
+            self.library.as_ref(),
         )
     }
 }
@@ -632,6 +645,9 @@ impl Arrivals {
 /// The event-driven engine behind every [`ColocationRun`]. `measured`
 /// holds each service's query already measured on `device`'s GPU profile
 /// (a fleet node's); without it the engine measures them itself.
+/// `library` is a fusion library on `device` shared with other runs;
+/// without it the engine scopes one to `services` × `be_apps`. Either
+/// way the run serves from its own copies of the library's entries.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_engine(
     device: &Arc<Device>,
@@ -642,6 +658,7 @@ pub(crate) fn run_engine(
     sink: Arc<dyn TraceSink>,
     opts: &ServeOptions,
     measured: Option<Vec<Arc<QueryProfile>>>,
+    library: Option<&Arc<FusionLibrary>>,
 ) -> Result<RunReport, TackerError> {
     if services.is_empty() || services.iter().any(|s| s.lc.query_kernels().is_empty()) {
         return Err(TackerError::Config {
@@ -654,7 +671,14 @@ pub(crate) fn run_engine(
         Arc::clone(device),
         Arc::clone(&sink),
     ));
-    let library = Arc::new(FusionLibrary::new(Arc::clone(&profiler)));
+    let shared = library.map_or_else(
+        || {
+            let lcs = services.iter().map(|svc| &svc.lc);
+            Arc::new(FusionLibrary::scoped(device, lcs, be_apps))
+        },
+        Arc::clone,
+    );
+    let library = Arc::new(FusionLibrary::for_run(&shared));
     let faults = &opts.faults;
     let serving = opts.guard.is_some() || !faults.is_zero();
     let guard = opts

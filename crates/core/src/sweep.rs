@@ -3,9 +3,12 @@
 //! The paper's evaluation is one big grid: 6 LC services × 12 BE apps,
 //! each cell several full co-location runs (Figures 10–18). The cells are
 //! independent deterministic simulations, so they fan out over the
-//! `tacker-par` persistent pool and share one [`Device`] — profiling and
-//! fusion preparation done for one cell is memoized and reused by every
-//! other cell that touches the same kernels.
+//! `tacker-par` persistent pool and share one [`Device`] — simulations
+//! done for one cell are memoized and reused by every other cell that
+//! touches the same kernels — and one [`FusionLibrary`] scoped to the
+//! whole grid, so each fusion pair is prepared once per sweep, as the
+//! paper prepares its library once per deployment (§V-C). Every cell
+//! serves from its own copies of the library's entries.
 //!
 //! Scheduling: cells are **sharded by expected event count** (queries ×
 //! summed kernel micro-op footprint, see [`expected_cell_events`]) and
@@ -14,9 +17,11 @@
 //!
 //! Determinism: every run's RNG seed is derived from its
 //! `(LC, BE, policy)` coordinates via [`tacker_par::derive_seed`], never
-//! shared between runs, and the pool joins results back in grid order. A
-//! sweep at `jobs = 32` is therefore bit-identical to the same sweep at
-//! `jobs = 1`.
+//! shared between runs, and the pool joins results back in grid order.
+//! Library entries are pure functions of their canonical pair, which the
+//! grid's pair set fixes. A sweep at `jobs = 32` is therefore
+//! bit-identical to the same sweep at `jobs = 1`, and a cell's report does
+//! not depend on the grid's order.
 
 use std::sync::Arc;
 
@@ -25,6 +30,7 @@ use tacker_workloads::{BeApp, LcService, WorkloadKernel};
 
 use crate::config::ExperimentConfig;
 use crate::error::TackerError;
+use crate::library::FusionLibrary;
 use crate::manager::Policy;
 use crate::report::RunReport;
 use crate::serve::ColocationRun;
@@ -98,8 +104,9 @@ pub fn sweep_jobs_used(
 }
 
 /// Runs the full `lcs × bes × policies` grid on `jobs` workers (`0` = every
-/// core) from the persistent pool, sharing `device` across all cells.
-/// Results come back in grid order: LC-major, then BE, then policy.
+/// core) from the persistent pool, sharing `device` and one fusion library
+/// scoped to the grid across all cells. Results come back in grid order:
+/// LC-major, then BE, then policy.
 ///
 /// # Errors
 ///
@@ -123,6 +130,7 @@ pub fn run_pair_sweep(
             }
         }
     }
+    let library = Arc::new(FusionLibrary::scoped(device, lcs, bes));
     let device = Arc::clone(device);
     let config = config.clone();
     tacker_par::try_pool_map_sharded(
@@ -140,6 +148,7 @@ pub fn run_pair_sweep(
                 std::slice::from_ref(be),
             )?
             .policy(*policy)
+            .with_library(&library)
             .run()?;
             Ok(SweepCell {
                 lc: lc.name().to_string(),
@@ -153,7 +162,8 @@ pub fn run_pair_sweep(
 }
 
 /// Tacker-vs-Baymax throughput improvement for every (LC, BE) pair, in
-/// percent — the Figure 14 computation, parallel over the grid. Returns
+/// percent — the Figure 14 computation, parallel over the grid, with one
+/// fusion library scoped to the grid as in [`run_pair_sweep`]. Returns
 /// `(lc, be, improvement %, baymax report, tacker report)` in grid order.
 ///
 /// # Errors
@@ -178,6 +188,7 @@ pub fn run_improvement_sweep(
             pairs.push((lc.clone(), be.clone()));
         }
     }
+    let library = Arc::new(FusionLibrary::scoped(device, lcs, bes));
     let device = Arc::clone(device);
     let config = config.clone();
     tacker_par::try_pool_map_sharded(jobs, pairs, &weights, move |_, (lc, be)| {
@@ -185,9 +196,11 @@ pub fn run_improvement_sweep(
         let lc_slice = std::slice::from_ref(lc);
         let baymax = ColocationRun::new(&device, &config, lc_slice, be_slice)?
             .policy(Policy::Baymax)
+            .with_library(&library)
             .run()?;
         let tacker = ColocationRun::new(&device, &config, lc_slice, be_slice)?
             .policy(Policy::Tacker)
+            .with_library(&library)
             .run()?;
         let imp = 100.0
             * crate::metrics::throughput_improvement(baymax.be_work_rate(), tacker.be_work_rate());

@@ -127,6 +127,72 @@ fn real_cells_are_identical_across_jobs_and_runs() {
     }
 }
 
+/// A reduced Fig. 14 grid of real services: 2 LC × 3 BE apps, whose query
+/// kernels share GEMM definitions (and so fusion-library keys) across
+/// services.
+fn reduced_real_grid() -> (Vec<LcService>, Vec<BeApp>) {
+    let scratch = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+    let lcs = ["ResNext", "Densenet"]
+        .map(|name| tacker_workloads::lc_service(name, &scratch).expect("LC service"));
+    let bes = ["fft", "cutcp", "VGG-T"].map(|name| tacker_workloads::be_app(name).expect("BE app"));
+    (lcs.to_vec(), bes.to_vec())
+}
+
+/// `cells` in grid order of the forward grid, whatever order they ran in.
+fn by_coordinates(mut cells: Vec<SweepCell>) -> Vec<SweepCell> {
+    cells.sort_by(|a, b| (&a.lc, &a.be).cmp(&(&b.lc, &b.be)));
+    cells
+}
+
+/// A sweep prepares each fusion pair once, from the pair its grid fixes
+/// for the pair's library key, so which cell meets a key first — set by
+/// the grid's order and the worker count — changes no cell's report.
+#[test]
+fn real_grid_cells_do_not_depend_on_grid_order() {
+    let config = ExperimentConfig::default().with_queries(40);
+    let (lcs, bes) = reduced_real_grid();
+    let sweep = |lcs: &[LcService], bes: &[BeApp], jobs| {
+        let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+        let cells = run_pair_sweep(&device, lcs, bes, &[Policy::Tacker], &config, jobs).unwrap();
+        by_coordinates(cells)
+    };
+    let forward = sweep(&lcs, &bes, 1);
+    assert_eq!(forward.len(), 6);
+    assert!(forward.iter().all(|c| c.report.fused_launches > 0));
+    let shuffled_lcs = [lcs[1].clone(), lcs[0].clone()];
+    let shuffled_bes = [bes[2].clone(), bes[0].clone(), bes[1].clone()];
+    for jobs in [1, 2] {
+        let shuffled = sweep(&shuffled_lcs, &shuffled_bes, jobs);
+        assert_same_cells(&forward, &shuffled, &format!("shuffled at jobs={jobs}"));
+    }
+    assert_same_cells(&forward, &sweep(&lcs, &bes, 2), "forward at jobs=2");
+}
+
+/// Strikes and online refits stay in the run that made them: each cell
+/// serves from its own copies of the shared library's entries. Running a
+/// fusion-only cell (which refits the pairs it fuses) right before every
+/// Tacker cell of the same (LC, BE) pair leaves the Tacker reports as they
+/// are without it.
+#[test]
+fn a_cells_refits_leave_the_next_cell_unchanged() {
+    let config = ExperimentConfig::default().with_queries(40);
+    let (lcs, bes) = reduced_real_grid();
+    let sweep = |policies: &[Policy]| {
+        let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+        run_pair_sweep(&device, &lcs, &bes, policies, &config, 1).unwrap()
+    };
+    let alone = sweep(&[Policy::Tacker]);
+    let (before, after): (Vec<SweepCell>, Vec<SweepCell>) =
+        sweep(&[Policy::FusionOnly, Policy::Tacker])
+            .into_iter()
+            .partition(|c| c.policy == Policy::FusionOnly);
+    assert!(
+        before.iter().map(|c| c.report.model_refreshes).sum::<u64>() > 0,
+        "no fusion-only cell refitted a pair"
+    );
+    assert_same_cells(&alone, &after, "after a refitting cell");
+}
+
 /// Sharing one device between a serial and a parallel sweep must not
 /// change results either: memoization is exact, so warm caches only make
 /// runs faster, never different.

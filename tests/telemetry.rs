@@ -477,7 +477,7 @@ fn faulted_drill_run_bytes_are_pinned() {
     run_digest(&mut hash, &report, &events);
     assert_eq!(
         hash.finish(),
-        14_341_996_382_042_180_988,
+        3_508_498_144_054_933_446,
         "faulted drill run drifted"
     );
 }
@@ -516,7 +516,7 @@ fn replayed_run_bytes_are_pinned() {
     run_digest(&mut hash, &idle, &[]);
     assert_eq!(
         hash.finish(),
-        8_866_425_061_617_561_437,
+        1_326_857_484_145_937_812,
         "replayed runs drifted"
     );
 }
