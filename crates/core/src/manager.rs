@@ -324,6 +324,84 @@ impl KernelManager {
         }
     }
 
+    /// A head's prediction when it is settled: what [`KernelManager::predict`]
+    /// answers, read without a side effect, or `None` where that call would
+    /// first fit a model (see [`KernelProfiler::peek_keyed`]).
+    fn peek(&self, head: Head<'_>) -> Option<SimTime> {
+        match head.profiled {
+            Some(duration) if !self.profiler.history_bypassed() => Some(duration),
+            _ => self.profiler.peek_keyed(head.wk, head.fp),
+        }
+    }
+
+    /// How many of `lc_heads`, decided one after another, provably end in
+    /// [`Decision::RunLc`]: the length of the prefix for which
+    /// [`KernelManager::decide`] with these headrooms and BE heads (which
+    /// the caller guarantees do not change in between, nor the guard)
+    /// would launch the LC head and change nothing else. Read only. The
+    /// proof:
+    ///
+    /// * reordering is off, or every BE head's settled prediction is at
+    ///   least the reorder headroom, so none fits it;
+    /// * fusion is off, or every (LC head, BE head) pair is resolved in
+    ///   the pair memo and cannot fuse now ([`KernelManager::cannot_fuse`]).
+    ///
+    /// It stops before a head whose decision could resolve a pair (which
+    /// may prepare it in the library) or fit a model.
+    pub(crate) fn run_lc_stretch(
+        &self,
+        lc_heads: &[Head<'_>],
+        headroom: SimTime,
+        reorder_headroom: SimTime,
+        be_heads: &[Option<Head<'_>>],
+    ) -> usize {
+        let margin = self.guard.as_ref().map_or(SimTime::ZERO, |g| g.margin());
+        let headroom = headroom.saturating_sub(margin);
+        let reorder_headroom = reorder_headroom.saturating_sub(margin);
+        let bes = be_heads.iter().flatten();
+        let may_fit = |be: Head<'_>| self.peek(be).is_none_or(|p| p < reorder_headroom);
+        if self.reorder_allowed() && bes.clone().any(|&be| may_fit(be)) {
+            return 0;
+        }
+        let slots = self
+            .fusion_allowed()
+            .then(|| self.pairs.lock().expect("pair memo poisoned"));
+        lc_heads
+            .iter()
+            .take_while(|&&lc| {
+                self.peek(lc).is_some()
+                    && slots.as_ref().is_none_or(|slots| {
+                        bes.clone()
+                            .all(|&be| self.cannot_fuse(slots, lc, be, headroom))
+                    })
+            })
+            .count()
+    }
+
+    /// Whether the pair `(lc, be)` is resolved and cannot fuse under
+    /// `headroom`, read without a side effect: it has no orientation, is
+    /// not prepared, is blacklisted, or `headroom` is zero (Equation 8's
+    /// extra time is never below zero) while the BE head's prediction,
+    /// which [`KernelManager::try_fuse`] reads first, is settled (the
+    /// caller checks the LC head's). An unresolved pair may fuse: its
+    /// first resolution prepares it.
+    fn cannot_fuse(
+        &self,
+        slots: &PairSlots,
+        lc: Head<'_>,
+        be: Head<'_>,
+        headroom: SimTime,
+    ) -> bool {
+        match slots.get(&(lc.fp, be.fp)) {
+            None => false,
+            Some(PairSlot::NoOrientation | PairSlot::NotPrepared) => true,
+            Some(PairSlot::Prepared { entry, .. }) => {
+                !entry.lock().expect("entry poisoned").eligible()
+                    || (headroom == SimTime::ZERO && self.peek(be).is_some())
+            }
+        }
+    }
+
     /// Sets the device wall-clock instant stamped onto subsequent decision
     /// events.
     pub fn set_now(&self, now: SimTime) {

@@ -201,18 +201,27 @@ impl KernelProfiler {
         wk: &WorkloadKernel,
         fp: u64,
     ) -> Result<SimTime, TackerError> {
-        debug_assert_eq!(fp, wk.fingerprint(), "predict_keyed: key/kernel mismatch");
+        match self.peek_keyed(wk, fp) {
+            Some(settled) => Ok(settled),
+            None => self.predict_model_only(wk),
+        }
+    }
+
+    /// What [`KernelProfiler::predict_keyed`] answers for `wk` when the
+    /// answer is settled, without a side effect: the launch's history, or
+    /// its definition's fitted model. `None` where `predict_keyed` would
+    /// first fit that model, which records the fit's profiling runs as
+    /// history, so that the next call can answer differently.
+    pub(crate) fn peek_keyed(&self, wk: &WorkloadKernel, fp: u64) -> Option<SimTime> {
+        debug_assert_eq!(fp, wk.fingerprint(), "peek_keyed: key/kernel mismatch");
         if !self.history_bypassed() {
             if let Some(seen) = self.history.lock().expect("history poisoned").get(&fp) {
-                return Ok(*seen);
+                return Some(*seen);
             }
         }
-        self.ensure_model(wk)?;
         let models = self.models.lock().expect("models poisoned");
-        let model = models
-            .get(&wk.def.id())
-            .expect("model inserted by ensure_model");
-        Ok(model.predict_row(&feature_row(wk)))
+        let model = models.get(&wk.def.id())?;
+        Some(model.predict_row(&feature_row(wk)))
     }
 
     /// Predicts strictly from the LR model, ignoring launch history (used
@@ -374,6 +383,27 @@ mod tests {
         assert_eq!(p.predict(wk).unwrap(), model_only);
         p.set_history_bypass(false);
         assert_eq!(p.predict(wk).unwrap(), measured);
+    }
+
+    #[test]
+    fn peek_answers_only_what_is_settled() {
+        let p = profiler();
+        let task = Benchmark::Sgemm.task();
+        let (wk, other) = (&task[0], Benchmark::Sgemm.task_scaled(3));
+        let other = &other[0];
+        // Unseen: the first prediction fits the model and records the
+        // fit's runs, so the next answer is the launch's history.
+        assert_eq!(p.peek_keyed(wk, wk.fingerprint()), None);
+        let first = p.predict(wk).unwrap();
+        let settled = p.peek_keyed(wk, wk.fingerprint()).expect("history");
+        assert_eq!(settled, p.measure(wk).unwrap());
+        assert_eq!(p.predict(wk).unwrap(), settled);
+        assert_ne!(first, settled, "the fit's answer is the model's");
+        // Another launch of the definition answers from the fitted model.
+        let model = p.peek_keyed(other, other.fingerprint()).expect("model");
+        assert_eq!(model, p.predict_model_only(other).unwrap());
+        assert_eq!(p.predict(other).unwrap(), model);
+        assert_eq!(p.model_count(), 1);
     }
 
     #[test]

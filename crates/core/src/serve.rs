@@ -119,14 +119,16 @@ pub struct ServeOptions {
     /// Telemetry collection options.
     pub telemetry: TelemetryOptions,
     /// Enable the replays (default on). In a run with no faults and no
-    /// trace sink they skip the decision loop where it has one possible
-    /// decision: without admissible BE work, the front query's kernels
-    /// replay from its measured [`QueryProfile`] until it retires or the
-    /// next arrival is due (busy-period replay); with it, the first BE
-    /// app's kernels run back to back while no query is active, until
-    /// the next arrival is due (idle-period replay). Bit-identical to the
-    /// decision loop by construction. Turn off to force the full decision
-    /// loop (e.g. when benchmarking it).
+    /// trace sink they skip the decision loop where its decisions are
+    /// known: while a query is active, the front query's kernels replay
+    /// from its measured [`QueryProfile`] until it retires or the next
+    /// arrival is due (busy-period replay). Without admissible BE work
+    /// every such decision is RunLc; with it, in a run without a guard,
+    /// the replay covers the kernels for which the manager provably
+    /// decides RunLc. While no query is active, the first BE app's kernels
+    /// run back to back until the next arrival is due (idle-period
+    /// replay). Bit-identical to the decision loop by construction. Turn
+    /// off to force the full decision loop (e.g. when benchmarking it).
     pub fast_path: bool,
 }
 
@@ -753,12 +755,15 @@ pub(crate) fn run_engine(
     // launch realizes its memoized timing (no faults) and no trace sink
     // (Decision events would embed per-point headroom the replays skip
     // computing). Without admissible BE work, the manager's only decision
-    // while a query is active is RunLc for the front query's next kernel
-    // (busy-period replay); with it, its only decision while none is
-    // active is RunBe for the first BE head, as long as the guard admits
-    // BE work (idle-period replay, in the RunBe arm).
+    // while a query is active is RunLc for the front query's next kernel;
+    // with it, the busy-period replay proves RunLc kernel by kernel, which
+    // needs a run without a guard (its level and margin may move at every
+    // launch). While no query is active the only decision is RunBe for the
+    // first BE head, as long as the guard admits BE work (idle-period
+    // replay, in the RunBe arm).
     let steady = opts.fast_path && !tracing && faults.is_zero();
-    let busy_replay = steady && be_heads.iter().all(Option::is_none);
+    let lc_only = be_heads.iter().all(Option::is_none);
+    let busy_replay = steady && (lc_only || guard.is_none());
 
     // Fault sampling resolved up front: which LC kernel positions of which
     // service run persistently slower than their profile says.
@@ -856,7 +861,7 @@ pub(crate) fn run_engine(
         },
     };
     debug_assert_eq!(
-        busy_replay && !run.observed,
+        busy_replay && lc_only && !run.observed,
         opts.replays_by_segment(config, policy, be_apps, tracing),
         "ServeOptions::replays_by_segment names the runs that replay by segment"
     );
@@ -947,9 +952,8 @@ impl<'a> RunState<'a> {
             if self.active.is_empty() && self.arrivals.upcoming().is_none() {
                 return Ok(());
             }
-            if busy_replay && !self.active.is_empty() {
-                self.busy_replay();
-            } else if !self.decide()? {
+            let replayed = busy_replay && !self.active.is_empty() && self.busy_replay();
+            if !replayed && !self.decide()? {
                 return Ok(());
             }
             self.end_iteration();
@@ -1020,36 +1024,60 @@ impl<'a> RunState<'a> {
         }
     }
 
-    /// Busy-period replay: the manager's only possible decision is RunLc
-    /// for the front query's next kernel, predicted at its profiled
-    /// duration, so its kernels replay from the profile until it retires
-    /// or the next arrival is due. One rule, [`QueryProfile::replay_end`],
-    /// finds where the segment stops; the loop then admits and retires
-    /// exactly where the decision loop would. Without an observer the
-    /// whole segment is one step: every per-kernel update is a sum (clock,
-    /// busy time, launch count, decisions, the query's predicted remaining
-    /// time), and the budget gauge holds the value each decision would
-    /// set. With one, the same segment runs kernel by kernel, making the
-    /// RunLc arm's updates in its order with the profiled duration as the
-    /// prediction the guard observes. Out of line, so that the loop keeps
-    /// the run's fields in registers.
+    /// Busy-period replay: the manager's decision for the front query's
+    /// next kernels is RunLc, predicted at the profiled duration, so they
+    /// replay from the profile until the query retires or the next arrival
+    /// is due. One rule, [`QueryProfile::replay_end`], finds where the
+    /// segment stops; the loop then admits and retires exactly where the
+    /// decision loop would. Without BE heads RunLc is the only decision.
+    /// With them, the segment is cut before the first kernel for which
+    /// [`KernelManager::run_lc_stretch`] cannot prove RunLc: nothing the
+    /// proof reads (headrooms, budget, BE heads, predictions, the pair
+    /// memo and its strikes) moves during a RunLc stretch. `false`, with
+    /// nothing done, when it cannot prove the first kernel.
+    ///
+    /// Without an observer the whole segment is one step: every per-kernel
+    /// update is a sum (clock, busy time, launch count, decisions, credited
+    /// hits, the query's predicted remaining time), and the budget gauge
+    /// holds the value each decision would set. With one, the same segment
+    /// runs kernel by kernel, making the RunLc arm's updates in its order
+    /// with the profiled duration as the prediction the guard observes.
+    /// Out of line, so that the loop keeps the run's fields in registers.
     #[inline(never)]
-    fn busy_replay(&mut self) {
+    fn busy_replay(&mut self) -> bool {
         let si = self.active[0].service;
         let profile = &*self.profiles[si];
         let from = self.active[0].next;
         // Nothing arrives during the segment: `upcoming` stays put.
         let due = self.arrivals.upcoming().map(|t| t - self.now);
-        let end = profile.replay_end(from, due);
+        let mut end = profile.replay_end(from, due);
+        let colocated = self.be_heads.iter().any(Option::is_some);
+        if colocated {
+            let (fusion, reorder) = self.capped_headrooms(self.headroom());
+            let heads = &self.lc_heads[si][from..end];
+            let proven = self
+                .manager
+                .run_lc_stretch(heads, fusion, reorder, &self.be_heads);
+            if proven == 0 {
+                return false;
+            }
+            end = from + proven;
+        }
         #[cfg(test)]
         BUSY_SEGMENTS.with(|log| log.borrow_mut().push((from, end)));
         let kernels = (end - from) as u64;
         self.m_decisions.add(kernels);
-        // Without BE work the budget cannot move during the replay.
+        // RunLc moves no budget.
         self.m_budget.set(self.budget as f64);
+        if colocated {
+            // The RunLc arm's launches from the profile, each credited as
+            // the device hit its probe would have been. (The LC-only replay
+            // credits none: its runs never probed before it either.)
+            self.credited.hits += kernels;
+        }
         if self.observed {
             self.observed_replay(profile, from, end);
-            return;
+            return true;
         }
         let elapsed = profile.elapsed(from, end);
         let q = &mut self.active[0];
@@ -1058,18 +1086,21 @@ impl<'a> RunState<'a> {
         self.launch_seq += kernels;
         self.now += elapsed;
         self.report.busy += elapsed;
+        true
     }
 
     /// The busy-period replay of kernels `from..end` of the front query
     /// when an observer is on: each kernel's headroom sample, launch and
     /// end-of-iteration guard-level push (for every kernel but the last;
     /// fused-plan cache stats cannot move, since nothing probes the
-    /// device).
+    /// device). The headroom is taken once: during the segment `now` grows
+    /// by exactly what the front query's predicted remaining time shrinks,
+    /// so every Equation 9 slack term stays put.
     fn observed_replay(&mut self, profile: &'a QueryProfile, from: usize, end: usize) {
         let heads = &self.lc_heads[self.active[0].service];
+        let headroom = self.windows.is_some().then(|| self.headroom());
         for (idx, &head) in heads.iter().enumerate().take(end).skip(from) {
-            if let Some(ws) = self.windows.as_mut() {
-                let headroom = eq9_headroom(&self.active, self.now, self.safety);
+            if let (Some(ws), Some(headroom)) = (self.windows.as_mut(), headroom) {
                 let mut emit = row_emitter(self.sink, self.tracing);
                 ws.observe_headroom(self.now, headroom, &mut emit);
             }
@@ -1089,31 +1120,12 @@ impl<'a> RunState<'a> {
     /// injection budget, and its arm. `false` when the run is over: the
     /// device is idle and nothing is left to arrive.
     fn decide(&mut self) -> Result<bool, TackerError> {
-        let headroom = eq9_headroom(&self.active, self.now, self.safety);
+        let headroom = self.headroom();
         if let Some(ws) = self.windows.as_mut().filter(|_| !self.active.is_empty()) {
             let mut emit = row_emitter(self.sink, self.tracing);
             ws.observe_headroom(self.now, headroom, &mut emit);
         }
-        // Reordering whole BE kernels into the headroom is what stretches
-        // busy periods, so it is budget-capped. Fusion's extra time is an
-        // order of magnitude smaller per unit of BE work, so it gets a
-        // small grace on top of the budget — but its actual cost is still
-        // charged, driving the budget into debt that blocks further
-        // injection until idle time repays it.
-        let budget_time = SimTime::from_nanos(self.budget.max(0) as u64);
-        let reorder_headroom = headroom.min(budget_time);
-        // Fusion may run the budget into bounded debt: its extras are small
-        // and high-leverage, so a per-busy-period allowance (the grace, up
-        // to the debt floor) keeps cheap fusions flowing while expensive
-        // ones are cut off quickly.
-        let grace = self.config.qos_target.mul_f64(0.01);
-        let debt_floor = -(self.config.qos_target.mul_f64(0.05).as_nanos() as i128);
-        let fusion_headroom = if self.budget > debt_floor {
-            headroom.min(budget_time + grace)
-        } else {
-            SimTime::ZERO
-        };
-
+        let (fusion_headroom, reorder_headroom) = self.capped_headrooms(headroom);
         let lc_head = self
             .active
             .front()
@@ -1142,6 +1154,36 @@ impl<'a> RunState<'a> {
             Decision::Idle => return Ok(self.idle()),
         }
         Ok(true)
+    }
+
+    /// The Equation 9 headroom of the active queries now.
+    fn headroom(&self) -> SimTime {
+        eq9_headroom(&self.active, self.now, self.safety)
+    }
+
+    /// `headroom` capped by the injection budget: what fusion and what
+    /// reordering may use, in that order.
+    fn capped_headrooms(&self, headroom: SimTime) -> (SimTime, SimTime) {
+        // Reordering whole BE kernels into the headroom is what stretches
+        // busy periods, so it is budget-capped. Fusion's extra time is an
+        // order of magnitude smaller per unit of BE work, so it gets a
+        // small grace on top of the budget — but its actual cost is still
+        // charged, driving the budget into debt that blocks further
+        // injection until idle time repays it.
+        let budget_time = SimTime::from_nanos(self.budget.max(0) as u64);
+        let reorder = headroom.min(budget_time);
+        // Fusion may run the budget into bounded debt: its extras are small
+        // and high-leverage, so a per-busy-period allowance (the grace, up
+        // to the debt floor) keeps cheap fusions flowing while expensive
+        // ones are cut off quickly.
+        let grace = self.config.qos_target.mul_f64(0.01);
+        let debt_floor = -(self.config.qos_target.mul_f64(0.05).as_nanos() as i128);
+        let fusion = if self.budget > debt_floor {
+            headroom.min(budget_time + grace)
+        } else {
+            SimTime::ZERO
+        };
+        (fusion, reorder)
     }
 
     /// Moves the front query past its next kernel, whose profiled duration
@@ -1872,6 +1914,153 @@ mod tests {
         let latencies = fast.query_latencies();
         assert_eq!(latencies[..2], [solo, solo * 2]);
         assert_eq!(latencies[3], solo);
+    }
+
+    /// An LC service of ReLUs (CUDA kernels) of the given element counts,
+    /// with a GEMM (a Tensor kernel) at position `gemm_at`, if any.
+    fn lc_of(relus: &[u64], gemm_at: Option<usize>) -> LcService {
+        let relu = tacker_workloads::dnn::elementwise::relu();
+        let mut kernels: Vec<_> = relus
+            .iter()
+            .map(|&n| tacker_workloads::dnn::elementwise::elementwise_workload(&relu, n))
+            .collect();
+        if let Some(at) = gemm_at {
+            let gemm = tacker_workloads::dnn::compile::shared_gemm();
+            let shape = tacker_workloads::gemm::GemmShape::new(2048, 1024, 512);
+            kernels.insert(at, tacker_workloads::gemm::gemm_workload(&gemm, shape));
+        }
+        LcService::new("relus", 8, kernels)
+    }
+
+    /// The busy-period segments of a co-located run of `lc` against cutcp
+    /// under `policy`, `cfg` and `guard` on the arrival `stream`, checked
+    /// bit-identical (report and device counters) to the decision loop.
+    fn colocated_segments(
+        lc: &LcService,
+        policy: Policy,
+        cfg: &ExperimentConfig,
+        guard: Option<GuardConfig>,
+        stream: &[SimTime],
+    ) -> (Vec<(usize, usize)>, RunReport) {
+        let run = |fast: bool| {
+            let device = device();
+            BUSY_SEGMENTS.with(|log| log.borrow_mut().clear());
+            let options = ServeOptions {
+                arrivals: ArrivalSpec::Replay(vec![stream.to_vec()]),
+                guard: guard.clone(),
+                fast_path: fast,
+                ..ServeOptions::default()
+            };
+            let r = ColocationRun::new(&device, cfg, std::slice::from_ref(lc), &[tiny_be()])
+                .unwrap()
+                .policy(policy)
+                .at(SimTime::from_millis(1))
+                .serve(options)
+                .run()
+                .unwrap();
+            let counters = (device.cache_stats(), device.fused_cache_stats());
+            (BUSY_SEGMENTS.with(|log| log.take()), counters, r)
+        };
+        let (segments, fast_counters, fast) = run(true);
+        let (none, slow_counters, slow) = run(false);
+        assert!(none.is_empty(), "the decision loop replayed");
+        let text = |r: &RunReport| format!("{r:?}\n{}", r.prometheus_text());
+        assert_eq!(text(&fast), text(&slow));
+        assert_eq!(fast_counters, slow_counters, "device counters diverged");
+        (segments, fast)
+    }
+
+    #[test]
+    fn colocated_stretches_stop_at_unresolved_pairs_and_due_arrivals() {
+        // FusionOnly never reorders, and ReLU × cutcp (two CUDA kernels)
+        // never fuses, so every decision while a query is active is
+        // RunLc. Query 0 resolves the pairs: its kernels 0, 1 and 3 each
+        // meet a pair first seen, and only kernel 2 (a ReLU of kernel 0's
+        // shape) replays. Query 1 arrives as query 0 retires, and query 2
+        // lands exactly on the end of query 1's kernel 1.
+        let lc = lc_of(&[4_000_000, 2_000_000, 4_000_000, 1_000_000], None);
+        let profile = QueryProfile::measure(&device(), &lc).unwrap();
+        let solo = profile.solo();
+        let stream = [SimTime::ZERO, solo, solo + profile.elapsed(0, 2)];
+        let (segments, report) =
+            colocated_segments(&lc, Policy::FusionOnly, &config(), None, &stream);
+        assert_eq!(segments, [(2, 3), (0, 2), (2, 4), (0, 4)]);
+        assert_eq!(report.query_latencies()[..2], [solo, solo]);
+    }
+
+    #[test]
+    fn colocated_stretches_stop_at_pairs_that_may_fuse() {
+        // GEMM × cutcp is a prepared pair, eligible until struck twice:
+        // with positive fusion headroom the stretch stops before it,
+        // whether or not Equation 8 then fuses it. Query 0 resolves both
+        // pairs (at kernels 0 and 2); query 1 comes long after.
+        let lc = lc_of(&[4_000_000, 4_000_000, 4_000_000], Some(2));
+        let solo = QueryProfile::measure(&device(), &lc).unwrap().solo();
+        let stream = [SimTime::ZERO, solo * 20];
+        let (segments, report) =
+            colocated_segments(&lc, Policy::FusionOnly, &config(), None, &stream);
+        assert_eq!(segments, [(1, 2), (3, 4), (0, 2), (3, 4)]);
+        assert!(report.fused_launches > 0, "the pair never fused");
+    }
+
+    #[test]
+    fn unsettled_prediction_blocks_the_colocated_replay() {
+        // A target below the solo query time plus the safety margin
+        // leaves no headroom, so Baymax never reorders. But cutcp is
+        // unpredicted when the lone query starts: the first prediction
+        // fits its model and answers from it, and every later one answers
+        // from the history the fit recorded. The replay cannot judge
+        // reordering from an answer that a call would change, so kernel 0
+        // is decided and the rest replays.
+        let lc = tiny_lc();
+        let solo = QueryProfile::measure(&device(), &lc).unwrap().solo();
+        let mut cfg = config();
+        cfg.qos_target = solo.mul_f64(1.05);
+        let (segments, _) = colocated_segments(&lc, Policy::Baymax, &cfg, None, &[SimTime::ZERO]);
+        assert_eq!(segments, [(1, 6)]);
+    }
+
+    #[test]
+    fn guarded_colocated_runs_decide_every_busy_kernel() {
+        // A burst at time zero violates and walks the guard down its
+        // ladder; the spaced queries after it meet the target, and after
+        // enough calm launches the guard steps back up in the middle of a
+        // query, re-allowing reorders and fusions that a proof made at
+        // the segment's start would have ruled out.
+        let lc = tiny_lc();
+        let solo = QueryProfile::measure(&device(), &lc).unwrap().solo();
+        let mut cfg = config();
+        cfg.qos_target = solo * 3;
+        let start = solo * 8;
+        let mut stream = vec![SimTime::ZERO; 6];
+        stream.extend((0..40).map(|i| start + solo.mul_f64(1.5) * i));
+        let guard = Some(GuardConfig::default());
+        let (segments, report) = colocated_segments(&lc, Policy::Tacker, &cfg, guard, &stream);
+        assert!(segments.is_empty(), "a guarded co-located run replayed");
+        let recovered = report.guard_log.iter().filter(|g| g.reason == "recovered");
+        assert!(recovered.count() > 0, "the guard never stepped back up");
+    }
+
+    #[test]
+    fn unsettled_predictions_keep_inception_with_dense_t_and_cutcp_exact() {
+        // Baymax at load 0.5: judging reorder from a BE head's first
+        // prediction (which fits its model) and deciding on the second
+        // changed this run's report.
+        let device = device();
+        let lc = tacker_workloads::lc_service("Inception", &device).unwrap();
+        let bes = ["Dense-T", "cutcp"].map(|b| tacker_workloads::be_app(b).unwrap());
+        let cfg = ExperimentConfig::default().with_queries(150).with_seed(38);
+        let text = |fast: bool| {
+            let r = ColocationRun::new(&device, &cfg, std::slice::from_ref(&lc), &bes)
+                .unwrap()
+                .policy(Policy::Baymax)
+                .at_load(0.5)
+                .steady_fast_path(fast)
+                .run()
+                .unwrap();
+            format!("{r:?}\n{}", r.prometheus_text())
+        };
+        assert_eq!(text(true), text(false));
     }
 
     #[test]

@@ -43,6 +43,19 @@ fn be_pick(i: usize) -> BeApp {
     BeApp::new(bench.name(), Intensity::Compute, bench.task())
 }
 
+/// `be_pick`'s Parboil apps (`0..4`), then three DNN training apps
+/// (`4..7`), whose task kernels include Tensor kernels: those pair with
+/// the LC service's CUDA kernel instead of its GEMMs.
+fn be_pick_tensor(i: usize) -> BeApp {
+    match i {
+        0..4 => be_pick(i),
+        _ => {
+            let name = ["Res-T", "VGG-T", "Dense-T"][i - 4];
+            tacker_workloads::be_app(name).expect("registered BE app")
+        }
+    }
+}
+
 proptest! {
     // Each case runs several full co-location simulations; keep it small.
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -267,5 +280,121 @@ proptest! {
         let slow = build(false);
         prop_assert!(slow.be_kernels > 0);
         prop_assert_eq!(report_text(&fast), report_text(&slow));
+    }
+
+    /// The busy-period replay of co-located runs (BE work admitted, no
+    /// guard), which replays only the kernels for which the manager
+    /// provably decides RunLc, is bit-identical to the full decision loop,
+    /// device counters included: Tacker, Baymax or FusionOnly, one or two
+    /// BE apps (Parboil or DNN training, whose Tensor kernels fuse with
+    /// the LC service's CUDA kernel), gaps from a third of a solo query
+    /// time to several, and QoS targets from 1.1 to 3 solo query times.
+    /// Windows and the timeline are on in half the cases.
+    #[test]
+    fn colocated_replay_reports_are_bit_identical(
+        seed in 0u64..1000,
+        gemm_m in 1024u64..4096,
+        gap_ratio in 0.3f64..4.0,
+        first in 0usize..7,
+        second in 0usize..7,
+        policy in 0usize..3,
+        target in 1.1f64..3.0,
+        observed in 0u8..2,
+    ) {
+        let case = ColocatedCase { seed, queries: 12, gap_ratio, target, policy, observed };
+        let (fast, slow) = case.fast_and_slow(&lc_service(gemm_m), first, second);
+        prop_assert_eq!(fast, slow);
+    }
+
+    /// The same identity with the Resnet50 and Inception services and
+    /// Parboil BE apps: each Tensor kernel of the services pairs with the
+    /// apps' CUDA kernels, and with targets near 3 solo query times and
+    /// gaps near one, fused extras drive the injection budget into debt,
+    /// where the proof covers prepared pairs through zero fusion headroom.
+    #[test]
+    fn colocated_replay_of_dnn_services_is_bit_identical(
+        seed in 0u64..1000,
+        inception in 0u8..2,
+        gap_ratio in 0.3f64..4.0,
+        first in 0usize..4,
+        second in 0usize..4,
+        policy in 0usize..3,
+        target in 1.1f64..3.0,
+        observed in 0u8..2,
+    ) {
+        let case = ColocatedCase { seed, queries: 12, gap_ratio, target, policy, observed };
+        let (fast, slow) = case.fast_and_slow(&dnn_services()[usize::from(inception)], first, second);
+        prop_assert_eq!(fast, slow);
+    }
+}
+
+/// Resnet50 and Inception, compiled once for the 2080Ti.
+fn dnn_services() -> &'static [LcService; 2] {
+    static SERVICES: std::sync::OnceLock<[LcService; 2]> = std::sync::OnceLock::new();
+    SERVICES.get_or_init(|| {
+        let compile = Device::new(GpuSpec::rtx2080ti());
+        ["Resnet50", "Inception"].map(|name| {
+            tacker_workloads::lc_service(name, &compile).expect("registered LC service")
+        })
+    })
+}
+
+/// One co-located run configuration of the co-located replay properties.
+struct ColocatedCase {
+    seed: u64,
+    queries: usize,
+    /// Mean gap between arrivals, in solo query times.
+    gap_ratio: f64,
+    /// QoS target, in solo query times.
+    target: f64,
+    /// Index into Tacker, Baymax, FusionOnly.
+    policy: usize,
+    /// `1` turns windows and the timeline on.
+    observed: u8,
+}
+
+/// What a co-located run leaves: the report text and the device's plain
+/// and fused cache counters.
+type RunTrace = (String, (u64, u64), (u64, u64));
+
+impl ColocatedCase {
+    /// Runs `lc` against `be_pick_tensor(first)` (and `second`, if it
+    /// differs) with the replays on, then off. Each run gets a fresh
+    /// device, warmed by measuring the solo query time first, so both
+    /// runs' device counters count the same cold work.
+    fn fast_and_slow(&self, lc: &LcService, first: usize, second: usize) -> (RunTrace, RunTrace) {
+        let mut bes = vec![be_pick_tensor(first)];
+        if second != first {
+            bes.push(be_pick_tensor(second));
+        }
+        let policy = [Policy::Tacker, Policy::Baymax, Policy::FusionOnly][self.policy];
+        let observed = self.observed == 1;
+        let run = |fast: bool| {
+            let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+            let profiler = tacker::KernelProfiler::new(Arc::clone(&device));
+            let solo = tacker::server::solo_query_duration(&profiler, lc).expect("solo");
+            let mut config = ExperimentConfig::default()
+                .with_queries(self.queries)
+                .with_seed(self.seed);
+            config.qos_target = solo.mul_f64(self.target);
+            if observed {
+                config = config.with_timeline();
+            }
+            let mut r = ColocationRun::new(&device, &config, std::slice::from_ref(lc), &bes)
+                .expect("build")
+                .policy(policy)
+                .at(solo.mul_f64(self.gap_ratio))
+                .steady_fast_path(fast);
+            if observed {
+                r = r.windowed(tacker_kernel::SimTime::from_micros(500));
+            }
+            let report = r.run().expect("run");
+            (
+                report_text(&report),
+                device.cache_stats(),
+                device.fused_cache_stats(),
+            )
+        };
+        (run(true), run(false))
     }
 }
