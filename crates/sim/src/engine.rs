@@ -70,8 +70,10 @@
 //! as runs coalesce.
 
 use std::cell::RefCell;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
-use tacker_kernel::Cycles;
+use tacker_kernel::ast::{ComputeUnit, MemDir, MemSpace};
+use tacker_kernel::{Cycles, Op};
 use tacker_trace::{Pipeline, ServerKind, TraceEvent, TraceSink};
 
 use crate::compile::{CompiledProgram, MicroOp};
@@ -373,6 +375,104 @@ fn role_iters(original: u64, issued: u64, b: u64) -> u64 {
         return 0;
     }
     (original - b - 1) / issued + 1
+}
+
+/// The SM-0 workload of `plan` on `spec` as a 128-bit digest: everything
+/// an untraced run reads from the plan except the launch's grid. That is
+/// the plan and role names (the run carries them), each role's warp count
+/// and op program, the barrier table, the occupancy inputs (resources and
+/// threads per block) and, for every SM-0 block in launch order, each
+/// role's iteration count. The engine places the SM-0 blocks only, and it
+/// reads the issued grid and the roles' work counts through [`role_iters`]
+/// alone, so two plans with one workload simulate to the same run on the
+/// same spec, or fail with the same error (DESIGN.md §8, *Kernel identity
+/// & caching*).
+pub(crate) fn workload_key(spec: &GpuSpec, plan: &ExecutablePlan) -> u128 {
+    let mut h = Digest128::default();
+    h.str(&plan.name);
+    h.word(plan.block.roles.len() as u64);
+    for role in &plan.block.roles {
+        h.str(&role.name);
+        h.word(u64::from(role.warps));
+        h.word(role.program.ops.len() as u64);
+        for op in &role.program.ops {
+            match *op {
+                Op::Compute { unit, ops } => {
+                    h.word(match unit {
+                        ComputeUnit::Tensor => 0,
+                        ComputeUnit::Cuda => 1,
+                    });
+                    h.word(ops);
+                }
+                Op::Memory {
+                    dir,
+                    space,
+                    bytes,
+                    locality,
+                } => {
+                    h.word(
+                        2 + u64::from(dir == MemDir::Write)
+                            + 2 * u64::from(space == MemSpace::Shared),
+                    );
+                    h.word(bytes);
+                    h.word(locality.to_bits());
+                }
+                Op::Barrier { id } => {
+                    h.word(6);
+                    h.word(u64::from(id));
+                }
+            }
+        }
+    }
+    h.word(plan.block.barriers.len() as u64);
+    for barrier in &plan.block.barriers {
+        h.word(u64::from(barrier.id));
+        h.word(u64::from(barrier.expected_warps));
+    }
+    let r = &plan.resources;
+    h.word(u64::from(r.registers_per_thread));
+    h.word(r.shared_mem_bytes);
+    h.word(u64::from(r.barriers));
+    h.word(u64::from(plan.threads_per_block));
+    for b in (0..plan.issued_blocks).step_by(spec.sm_count as usize) {
+        for role in &plan.block.roles {
+            h.word(role_iters(role.original_blocks, plan.issued_blocks, b));
+        }
+    }
+    h.finish()
+}
+
+/// Two domain-separated SipHash lanes read as one 128-bit digest.
+/// `DefaultHasher::new` is fixed within a process, which is all an
+/// in-memory memo key needs.
+struct Digest128([DefaultHasher; 2]);
+
+impl Default for Digest128 {
+    fn default() -> Self {
+        Digest128([0u8, 1].map(|lane| {
+            let mut h = DefaultHasher::new();
+            h.write_u8(lane);
+            h
+        }))
+    }
+}
+
+impl Digest128 {
+    fn word(&mut self, w: u64) {
+        for lane in &mut self.0 {
+            lane.write_u64(w);
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        for lane in &mut self.0 {
+            s.hash(lane);
+        }
+    }
+
+    fn finish(&self) -> u128 {
+        (u128::from(self.0[0].finish()) << 64) | u128::from(self.0[1].finish())
+    }
 }
 
 /// The SM warp scheduler: the hot component on the simulation kernel.

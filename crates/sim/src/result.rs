@@ -150,16 +150,18 @@ pub struct KernelRun {
     pub occupancy: u32,
     /// DRAM bytes moved by the representative SM (post-locality).
     pub dram_bytes: f64,
-    /// Micro-events the engine processed to produce this run (0 for
-    /// cache-replayed results): queue pops plus inline macro-step
-    /// continuations. Deterministic for a given plan and invariant
-    /// across [`crate::engine::QueueKind`] and macro-stepping.
+    /// Micro-events the engine processed to produce this run: queue pops
+    /// plus inline macro-step continuations. Deterministic for a given
+    /// plan and invariant across [`crate::engine::QueueKind`] and
+    /// macro-stepping. A run served from a [`crate::Device`]'s cache or
+    /// SM-0 memo is the shared simulated run, so it carries the
+    /// simulation's counts, not 0.
     pub events: u64,
-    /// Actual event-queue pops (0 for cache-replayed results). Equals
+    /// Actual event-queue pops (the simulation's, like `events`). Equals
     /// `events` with macro-stepping off; shrinks as runs coalesce.
     pub pops: u64,
-    /// Queue pops that coalesced at least one inline continuation
-    /// (0 for cache-replayed results and with macro-stepping off).
+    /// Queue pops that coalesced at least one inline continuation (the
+    /// simulation's, like `events`; 0 with macro-stepping off).
     pub macro_runs: u64,
     /// Precomputed aggregates (see [`RunSummary`]); every constructor
     /// goes through [`KernelRun::finalized`] so the summary always

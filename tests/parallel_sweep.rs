@@ -151,19 +151,30 @@ fn by_coordinates(mut cells: Vec<SweepCell>) -> Vec<SweepCell> {
 fn real_grid_cells_do_not_depend_on_grid_order() {
     let config = ExperimentConfig::default().with_queries(40);
     let (lcs, bes) = reduced_real_grid();
-    let sweep = |lcs: &[LcService], bes: &[BeApp], jobs| {
+    let sweep_counted = |lcs: &[LcService], bes: &[BeApp], jobs| {
         let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
         let cells = run_pair_sweep(&device, lcs, bes, &[Policy::Tacker], &config, jobs).unwrap();
-        by_coordinates(cells)
+        let counters = (device.cache_stats(), device.fused_cache_stats());
+        (by_coordinates(cells), counters)
     };
+    let sweep = |lcs: &[LcService], bes: &[BeApp], jobs| sweep_counted(lcs, bes, jobs).0;
     let forward = sweep(&lcs, &bes, 1);
     assert_eq!(forward.len(), 6);
     assert!(forward.iter().all(|c| c.report.fused_launches > 0));
     let shuffled_lcs = [lcs[1].clone(), lcs[0].clone()];
     let shuffled_bes = [bes[2].clone(), bes[0].clone(), bes[1].clone()];
     for jobs in [1, 2] {
-        let shuffled = sweep(&shuffled_lcs, &shuffled_bes, jobs);
+        let (shuffled, counters) = sweep_counted(&shuffled_lcs, &shuffled_bes, jobs);
         assert_same_cells(&forward, &shuffled, &format!("shuffled at jobs={jobs}"));
+        // A cold serial pass reads the counts of a device that simulates
+        // every fingerprint miss: a miss the SM-0 memo serves still
+        // counts as one. The forward pass has calibrated every cell's
+        // load (calibrations are cached per process), so these counts
+        // do not depend on which tests ran before. At jobs > 1 racing
+        // double misses move them.
+        if jobs == 1 {
+            assert_eq!(counters, ((81_169, 1_102), (3_495, 673)));
+        }
     }
     assert_same_cells(&forward, &sweep(&lcs, &bes, 2), "forward at jobs=2");
 }
