@@ -1011,9 +1011,12 @@ mod tests {
         // Prometheus text exposition.
         let registry = tacker_trace::MetricsRegistry::new();
         registry.counter("decisions").inc();
-        registry.histogram("query_latency_us").observe(1234.0);
+        let mut latency = tacker_trace::QuantileSketch::new();
+        latency.observe(1_234_000);
         let prom = dir.join("tacker_cli_stats_test.prom");
-        std::fs::write(&prom, tacker_trace::prometheus_text(&registry)).unwrap();
+        let text =
+            tacker_trace::prometheus_text(&registry, &[("query_latency_us".into(), latency)]);
+        std::fs::write(&prom, text).unwrap();
         assert!(dispatch(&["stats".into(), "--in".into(), prom.display().to_string()]).is_ok());
         // Telemetry JSONL.
         let mut ws = tacker_trace::WindowSeries::new(SimTime::from_micros(100));

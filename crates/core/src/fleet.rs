@@ -1,7 +1,9 @@
 //! Fleet-scale serving: §IV's cluster deployment taken online.
 //!
-//! The paper's cluster story ([`crate::cluster`]) prepares and
-//! distributes fused kernels; this module *serves traffic* across that
+//! The paper deploys Tacker across a cluster by preparing fused kernels
+//! for the GPUs that host the best-effort apps. Here each node scopes its
+//! fusion library to the run's services and its own resident BE apps
+//! ([`FleetNode::with_be`]), and this module *serves traffic* across the
 //! fleet. A [`FleetRun`] stands up N [`FleetNode`]s with heterogeneous
 //! GPU profiles (the paper evaluates RTX 2080 Ti and V100), generates
 //! one fleet-level set of LC arrival streams, and routes every query to
@@ -682,10 +684,8 @@ impl FleetRun {
             arrivals: ArrivalSpec::Poisson,
             faults: crate::fault::FaultPlan::none(),
             guard: self.guard.clone(),
-            telemetry: crate::serve::TelemetryOptions {
-                exact_limit: crate::metrics::DEFAULT_EXACT_LIMIT,
-                window: self.window,
-            },
+            exact_limit: crate::metrics::DEFAULT_EXACT_LIMIT,
+            window: self.window,
             fast_path: self.fast_path,
         }
     }

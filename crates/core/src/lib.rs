@@ -59,7 +59,6 @@
 //! ```
 
 pub mod baselines;
-pub mod cluster;
 pub mod config;
 pub mod error;
 pub mod fault;
@@ -74,7 +73,6 @@ pub mod serve;
 pub mod server;
 pub mod sweep;
 
-pub use cluster::{ClusterManager, DistributionReport, GpuNode};
 pub use config::ExperimentConfig;
 pub use error::TackerError;
 pub use fault::{FaultPlan, FloodBurst, MispredictFault, OutageWindow, StragglerFault};
@@ -88,9 +86,7 @@ pub use manager::{Decision, Head, KernelManager, Policy};
 pub use metrics::{LatencyStats, DEFAULT_EXACT_LIMIT};
 pub use profile::{work_feature, KernelProfiler};
 pub use report::{GuardAudit, RunReport, ServiceReport, ViolationRecord};
-pub use serve::{
-    ArrivalSpec, ColocationRun, ServeOptions, ServiceLoad, TelemetryOptions, VIOLATION_LOG_CAP,
-};
+pub use serve::{ArrivalSpec, ColocationRun, ServiceLoad, VIOLATION_LOG_CAP};
 pub use sweep::{
     expected_cell_events, run_improvement_sweep, run_pair_sweep, sweep_jobs_used, SweepCell,
 };
@@ -111,9 +107,7 @@ pub mod prelude {
     pub use crate::manager::Policy;
     pub use crate::metrics::LatencyStats;
     pub use crate::report::{RunReport, ServiceReport, ViolationRecord};
-    pub use crate::serve::{
-        ArrivalSpec, ColocationRun, ServeOptions, ServiceLoad, TelemetryOptions,
-    };
+    pub use crate::serve::{ArrivalSpec, ColocationRun, ServiceLoad};
     pub use crate::sweep::{
         expected_cell_events, run_improvement_sweep, run_pair_sweep, sweep_jobs_used, SweepCell,
     };

@@ -2,8 +2,8 @@
 //!
 //! The rank definition for every percentile in the workspace lives in
 //! `tacker_trace::quantile` ([`nearest_rank`]): the exact [`percentile`]
-//! here, the log-bucket `Histogram`, and the `QuantileSketch` all agree
-//! on "the `⌈p·n⌉`-th smallest sample". [`LatencyStats`] is the
+//! here and the `QuantileSketch` agree on "the `⌈p·n⌉`-th smallest
+//! sample". [`LatencyStats`] is the
 //! bounded-memory latency accumulator built on that module: exact
 //! samples up to a retention limit, a fixed-memory sketch beyond it.
 

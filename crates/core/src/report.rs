@@ -262,7 +262,7 @@ impl RunReport {
                 s.latency.to_sketch(),
             )
         }));
-        tacker_trace::export::prometheus_text_with_latencies(&self.metrics, &latencies)
+        tacker_trace::prometheus_text(&self.metrics, &latencies)
     }
 
     /// Fraction of wall time the device was executing kernels (0 when

@@ -83,53 +83,26 @@ pub enum ArrivalSpec {
     Replay(Vec<Vec<SimTime>>),
 }
 
-/// Telemetry collection options: latency retention and windowed
-/// time-series. Pure observers — they never change scheduling decisions,
-/// so any setting keeps zero-fault runs bit-identical to batch.
-#[derive(Debug, Clone)]
-pub struct TelemetryOptions {
-    /// Exact latency samples retained per service (and for the
-    /// aggregate) before [`LatencyStats`] spills into its fixed-memory
-    /// sketch; `0` sketches from the first query.
-    pub exact_limit: usize,
-    /// Enable windowed time-series collection with this window width.
-    pub window: Option<SimTime>,
-}
-
-impl Default for TelemetryOptions {
-    fn default() -> Self {
-        TelemetryOptions {
-            exact_limit: DEFAULT_EXACT_LIMIT,
-            window: None,
-        }
-    }
-}
-
 /// Serving-mode options: arrival process, fault plan, the optional QoS
 /// guard, and telemetry collection. The default is indistinguishable
-/// from a batch run.
+/// from a batch run. [`ColocationRun`]'s builder methods set them.
 #[derive(Debug, Clone)]
-pub struct ServeOptions {
+pub(crate) struct ServeOptions {
     /// The arrival process.
-    pub arrivals: ArrivalSpec,
+    pub(crate) arrivals: ArrivalSpec,
     /// Faults to inject.
-    pub faults: FaultPlan,
+    pub(crate) faults: FaultPlan,
     /// Enable the adaptive QoS guard with this configuration.
-    pub guard: Option<GuardConfig>,
-    /// Telemetry collection options.
-    pub telemetry: TelemetryOptions,
-    /// Enable the replays (default on). In a run with no faults and no
-    /// trace sink they skip the decision loop where its decisions are
-    /// known: while a query is active, the front query's kernels replay
-    /// from its measured [`QueryProfile`] until it retires or the next
-    /// arrival is due (busy-period replay). Without admissible BE work
-    /// every such decision is RunLc; with it, in a run without a guard,
-    /// the replay covers the kernels for which the manager provably
-    /// decides RunLc. While no query is active, the first BE app's kernels
-    /// run back to back until the next arrival is due (idle-period
-    /// replay). Bit-identical to the decision loop by construction. Turn
-    /// off to force the full decision loop (e.g. when benchmarking it).
-    pub fast_path: bool,
+    pub(crate) guard: Option<GuardConfig>,
+    /// Exact latency samples retained per service (and for the
+    /// aggregate) before [`LatencyStats`] spills into its fixed-memory
+    /// sketch; `0` sketches from the first query. Telemetry options are
+    /// pure observers: they never change scheduling decisions.
+    pub(crate) exact_limit: usize,
+    /// Enable windowed time-series collection with this window width.
+    pub(crate) window: Option<SimTime>,
+    /// Enable the replays (see [`ColocationRun::steady_fast_path`]).
+    pub(crate) fast_path: bool,
 }
 
 impl Default for ServeOptions {
@@ -138,7 +111,8 @@ impl Default for ServeOptions {
             arrivals: ArrivalSpec::default(),
             faults: FaultPlan::default(),
             guard: None,
-            telemetry: TelemetryOptions::default(),
+            exact_limit: DEFAULT_EXACT_LIMIT,
+            window: None,
             fast_path: true,
         }
     }
@@ -164,7 +138,7 @@ impl ServeOptions {
             && self.faults.is_zero()
             && no_be
             && self.guard.is_none()
-            && self.telemetry.window.is_none()
+            && self.window.is_none()
             && !config.record_timeline
     }
 }
@@ -308,7 +282,7 @@ impl<'a> ColocationRun<'a> {
     /// [`TraceEvent::WindowStats`] when tracing).
     #[must_use]
     pub fn windowed(mut self, width: SimTime) -> Self {
-        self.options.telemetry.window = Some(width);
+        self.options.window = Some(width);
         self
     }
 
@@ -317,22 +291,25 @@ impl<'a> ColocationRun<'a> {
     /// first query). Default [`DEFAULT_EXACT_LIMIT`].
     #[must_use]
     pub fn latency_exact_limit(mut self, limit: usize) -> Self {
-        self.options.telemetry.exact_limit = limit;
+        self.options.exact_limit = limit;
         self
     }
 
     /// Enables or disables the busy-period and idle-period replays
-    /// (default on; see [`ServeOptions::fast_path`]).
+    /// (default on). In a run with no faults and no trace sink they skip
+    /// the decision loop where its decisions are known: while a query is
+    /// active, the front query's kernels replay from its measured
+    /// [`QueryProfile`] until it retires or the next arrival is due
+    /// (busy-period replay). Without admissible BE work every such
+    /// decision is RunLc; with it, in a run without a guard, the replay
+    /// covers the kernels for which the manager provably decides RunLc.
+    /// While no query is active, the first BE app's kernels run back to
+    /// back until the next arrival is due (idle-period replay).
+    /// Bit-identical to the decision loop by construction. Turn off to
+    /// force the full decision loop (e.g. when benchmarking it).
     #[must_use]
     pub fn steady_fast_path(mut self, on: bool) -> Self {
         self.options.fast_path = on;
-        self
-    }
-
-    /// Replaces all serving options at once.
-    #[must_use]
-    pub fn serve(mut self, options: ServeOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -751,7 +728,7 @@ pub(crate) fn run_engine(
         .map(|b| b.head().filter(|_| policy.best_effort_enabled()))
         .collect();
 
-    // The replays (see ServeOptions::fast_path) need a run in which every
+    // The replays (see ColocationRun::steady_fast_path) need a run in which every
     // launch realizes its memoized timing (no faults) and no trace sink
     // (Decision events would embed per-point headroom the replays skip
     // computing). Without admissible BE work, the manager's only decision
@@ -785,10 +762,10 @@ pub(crate) fn run_engine(
     // Signed, in nanoseconds: over-predictions drive it negative (debt),
     // blocking further injection until idle time repays it.
     let budget_cap = config.qos_target.mul_f64(0.08).as_nanos() as i128;
-    let exact_limit = opts.telemetry.exact_limit;
+    let exact_limit = opts.exact_limit;
     // Windowed time-series collection: closed rows stream to the sink as
     // WindowStats events (when tracing) and collect into the report.
-    let windows = opts.telemetry.window.map(WindowSeries::new);
+    let windows = opts.window.map(WindowSeries::new);
     let mut run = RunState {
         device,
         config,
@@ -903,7 +880,8 @@ struct RunState<'a> {
     lc_heads: &'a [Vec<Head<'a>>],
     /// The misprediction factor of each service's LC kernel positions.
     mispredict: Vec<Vec<f64>>,
-    /// Whether the run may replay (see [`ServeOptions::fast_path`]).
+    /// Whether the run may replay (see
+    /// [`ColocationRun::steady_fast_path`]).
     steady: bool,
     /// Safety margin subtracted from the Equation 9 headroom.
     safety: SimTime,
@@ -1683,7 +1661,10 @@ mod tests {
         let batch = base_run(&device);
         let served = ColocationRun::new(&device, &config(), &[tiny_lc()], &[tiny_be()])
             .unwrap()
-            .serve(ServeOptions::default())
+            .arrivals(ArrivalSpec::Poisson)
+            .faults(FaultPlan::none())
+            .latency_exact_limit(DEFAULT_EXACT_LIMIT)
+            .steady_fast_path(true)
             .run()
             .unwrap();
         assert_eq!(batch.query_latencies(), served.query_latencies());
@@ -1945,19 +1926,16 @@ mod tests {
         let run = |fast: bool| {
             let device = device();
             BUSY_SEGMENTS.with(|log| log.borrow_mut().clear());
-            let options = ServeOptions {
-                arrivals: ArrivalSpec::Replay(vec![stream.to_vec()]),
-                guard: guard.clone(),
-                fast_path: fast,
-                ..ServeOptions::default()
-            };
-            let r = ColocationRun::new(&device, cfg, std::slice::from_ref(lc), &[tiny_be()])
+            let mut run = ColocationRun::new(&device, cfg, std::slice::from_ref(lc), &[tiny_be()])
                 .unwrap()
                 .policy(policy)
                 .at(SimTime::from_millis(1))
-                .serve(options)
-                .run()
-                .unwrap();
+                .arrivals(ArrivalSpec::Replay(vec![stream.to_vec()]))
+                .steady_fast_path(fast);
+            if let Some(guard) = guard.clone() {
+                run = run.guarded(guard);
+            }
+            let r = run.run().unwrap();
             let counters = (device.cache_stats(), device.fused_cache_stats());
             (BUSY_SEGMENTS.with(|log| log.take()), counters, r)
         };

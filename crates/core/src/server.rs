@@ -3,9 +3,7 @@
 //! The co-location engine itself lives in [`crate::serve`]; this module
 //! is calibration support ([`calibrate_peak_interarrival`],
 //! [`solo_query_duration`], and the per-service load resolution both run
-//! types share). The `run_colocation*` free functions that
-//! once lived here are gone — [`ColocationRun`] is the single entry
-//! point (see README «Migrating» for the call-for-call table).
+//! types share).
 
 use std::sync::{Arc, Mutex};
 

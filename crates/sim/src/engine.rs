@@ -1,5 +1,4 @@
-//! The discrete-event SM engine, built as components on the
-//! [`crate::core`] simulation kernel.
+//! The discrete-event SM engine.
 //!
 //! The engine simulates one *representative* SM — the busiest one — and
 //! derives whole-device behaviour from it. This is accurate for the
@@ -26,19 +25,18 @@
 //!
 //! # Component structure
 //!
-//! The engine is three components over one [`Simulation`]:
+//! The engine is three components over one event [`Calendar`]:
 //!
-//! * [`WarpEngine`] — the warp scheduler, the one *hot* component. It
-//!   implements [`EventHandler`] generically over the queue, so
-//!   event dispatch is monomorphized (zero virtual calls per event), and
-//!   it is the component that macro-steps (below).
-//! * [`ServerBank`] — the six pipeline servers, each a reusable
-//!   [`FcfsServer`].
+//! * [`WarpEngine`] — the warp scheduler, the one *hot* component. Its
+//!   event handler is generic over the queue, so event dispatch is
+//!   monomorphized (zero virtual calls per event), and it is the
+//!   component that macro-steps (below).
+//! * [`ServerBank`] — the six pipeline servers, each an [`FcfsServer`].
 //! * [`BarrierBoard`] — named-barrier arrival/release state, with a
 //!   persistent waiter-vector pool so releases never allocate.
 //!
-//! Warp wake-ups drain from the kernel's event calendar in `(time, seq)`
-//! order — see [`crate::queue`]. Two interchangeable queues are provided
+//! Warp wake-ups drain from the calendar in `(time, seq)` order — see
+//! [`crate::queue`]. Two interchangeable queues are provided
 //! ([`QueueKind`]): the reference binary heap and a calendar/bucket queue
 //! whose buckets are sized from the spec's issue cost. Both drain the
 //! same total order, so results are bit-identical between them.
@@ -57,7 +55,7 @@
 //! On top of the calendar sits **warp macro-stepping**: after processing
 //! a warp's event, if the warp's *next* wake-up time is strictly below
 //! the earliest other pending event
-//! ([`SimulationContext::inline_bound`]), that wake-up is executed
+//! (the bound [`Calendar::pop`] returns), that wake-up is executed
 //! inline instead of being pushed and re-popped — it would have been the
 //! very next event anyway, so the collapse is exact, not approximate.
 //! Runs end at barriers (which mutate cross-warp state and re-enter
@@ -70,14 +68,14 @@
 //! as runs coalesce.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
 use tacker_kernel::ast::{ComputeUnit, MemDir, MemSpace};
-use tacker_kernel::{Cycles, Op};
+use tacker_kernel::{Cycles, Name, Op};
 use tacker_trace::{Pipeline, ServerKind, TraceEvent, TraceSink};
 
 use crate::compile::{CompiledProgram, MicroOp};
-use crate::core::{Event, EventHandler, FcfsServer, Schedule, Simulation, SimulationContext};
 use crate::error::SimError;
 use crate::plan::ExecutablePlan;
 use crate::queue::{CalendarQueue, HeapQueue, SimQueue};
@@ -189,8 +187,150 @@ struct WarpMeta {
     role: u16,
 }
 
-/// The six FCFS pipeline servers of one SM, each a reusable
-/// [`FcfsServer`] component from the simulation core.
+/// The engine's event calendar: a queue (in practice a `&mut` borrow of
+/// one in the scratch arena) plus the monotone sequence that breaks time
+/// ties. Every event is one warp wake-up whose payload is the dense warp
+/// id.
+///
+/// Events drain in ascending `(time, seq)` order — equal times fire in
+/// the order they were scheduled — and both queue kinds drain that same
+/// total order, so a run is a pure function of its `schedule` calls,
+/// never of the queue choice.
+#[derive(Debug)]
+struct Calendar<Q> {
+    queue: Q,
+    seq: u64,
+}
+
+impl<Q: SimQueue> Calendar<Q> {
+    /// A calendar over `queue` with no event scheduled yet.
+    fn new(queue: Q) -> Self {
+        Calendar { queue, seq: 0 }
+    }
+
+    /// Schedules warp `w` to wake at absolute time `time`.
+    #[inline]
+    fn schedule(&mut self, time: f64, w: u32) {
+        self.seq += 1;
+        self.queue.push(time, self.seq, w);
+    }
+
+    /// Pops the earliest wake-up as `(time, warp, inline_bound)`. The
+    /// bound is a conservative lower bound on the earliest *other*
+    /// pending event's time: the exact minimum when the queue knows it
+    /// cheaply, `+∞` when the calendar went empty, `-∞` when an exact
+    /// answer would cost a scan. The handler may process any wake-up
+    /// strictly below it *inline* — it would have been the very next
+    /// event popped anyway — which is what macro-stepping does. The
+    /// bound stays valid only while nothing is scheduled, so coalesce
+    /// first, push last.
+    #[inline]
+    fn pop(&mut self) -> Option<(f64, u32, f64)> {
+        self.queue.pop_with_hint()
+    }
+
+    /// A calendar with this one's sequence counter over `queue`, which
+    /// must hold a copy of this calendar's pending events: the two then
+    /// continue identically from here.
+    fn resume_on<R: SimQueue>(&self, queue: R) -> Calendar<R> {
+        Calendar {
+            queue,
+            seq: self.seq,
+        }
+    }
+}
+
+/// A FCFS serial server with a service rate: requests occupy it
+/// back-to-back, each completing `service` time units after the later of
+/// its arrival and the server becoming free.
+#[derive(Debug, Clone)]
+struct FcfsServer {
+    next_free: f64,
+    busy: f64,
+    intervals: Vec<Interval>,
+    record: bool,
+    /// Queue/wait accounting, maintained only when tracing is enabled
+    /// (`track_stats`): op count, total cycles spent waiting for the
+    /// server, in-flight completion times, and peak simultaneous depth.
+    track_stats: bool,
+    acquires: u64,
+    wait: f64,
+    inflight: VecDeque<f64>,
+    max_depth: u32,
+}
+
+impl FcfsServer {
+    /// A fresh idle server. `record` retains busy intervals (for
+    /// activity summaries); `track_stats` maintains queue/wait
+    /// statistics (for trace sinks).
+    fn new(record: bool, track_stats: bool) -> FcfsServer {
+        FcfsServer {
+            next_free: 0.0,
+            busy: 0.0,
+            intervals: Vec::new(),
+            record,
+            track_stats,
+            acquires: 0,
+            wait: 0.0,
+            inflight: VecDeque::new(),
+            max_depth: 0,
+        }
+    }
+
+    /// Occupies the server for `service` cycles starting no earlier than
+    /// `now`; returns the completion time. `inline(always)`: the plain
+    /// `#[inline]` hint loses to the engine run loop's size and leaves
+    /// seven out-of-line calls in the hot path (measured via
+    /// disassembly), where inlining also folds the constant
+    /// `record`/`track_stats` flags per call site.
+    #[inline(always)]
+    fn acquire(&mut self, now: f64, service: f64) -> f64 {
+        let start = now.max(self.next_free);
+        let end = start + service;
+        self.next_free = end;
+        self.busy += service;
+        if self.record && service > 0.0 {
+            match self.intervals.last_mut() {
+                Some(last) if start <= last.end + 1e-9 => last.end = end,
+                _ => self.intervals.push(Interval { start, end }),
+            }
+        }
+        if self.track_stats {
+            self.acquires += 1;
+            self.wait += start - now;
+            while self.inflight.front().is_some_and(|&e| e <= now) {
+                self.inflight.pop_front();
+            }
+            self.inflight.push_back(end);
+            self.max_depth = self.max_depth.max(self.inflight.len() as u32);
+        }
+        end
+    }
+
+    /// Total busy time accumulated so far.
+    fn busy(&self) -> f64 {
+        self.busy
+    }
+
+    /// Takes the recorded busy intervals (empty unless `record`).
+    fn take_intervals(&mut self) -> Vec<Interval> {
+        std::mem::take(&mut self.intervals)
+    }
+
+    /// The server's queue/wait statistics as a trace event.
+    fn stats_event(&self, kernel: &Name, kind: ServerKind) -> TraceEvent {
+        TraceEvent::ServerStats {
+            kernel: kernel.clone(),
+            server: kind,
+            acquires: self.acquires,
+            busy_cycles: self.busy,
+            wait_cycles: self.wait,
+            max_queue_depth: self.max_depth,
+        }
+    }
+}
+
+/// The six FCFS pipeline servers of one SM.
 #[derive(Debug, Clone)]
 struct ServerBank {
     tc: FcfsServer,
@@ -475,10 +615,9 @@ impl Digest128 {
     }
 }
 
-/// The SM warp scheduler: the hot component on the simulation kernel.
-/// Owns the warp tables, the [`ServerBank`] and the [`BarrierBoard`];
-/// every calendar event is one warp wake-up whose payload is the dense
-/// warp id.
+/// The SM warp scheduler: the hot component. Owns the warp tables, the
+/// [`ServerBank`] and the [`BarrierBoard`]; every [`Calendar`] event is
+/// one warp wake-up whose payload is the dense warp id.
 struct WarpEngine<'a> {
     spec: &'a GpuSpec,
     plan: &'a ExecutablePlan,
@@ -537,7 +676,12 @@ impl<'a> WarpEngine<'a> {
         }
     }
 
-    fn launch_next_block(&mut self, sched: &mut impl Schedule, now: f64) {
+    /// Launches the next pending block, if any. `inline(always)`: the
+    /// first wave and `finish_warp` both call it, and with two call sites
+    /// LLVM keeps it out of line, which cost the calendar engine about 12%
+    /// of its events/s in `engine_bench`.
+    #[inline(always)]
+    fn launch_next_block(&mut self, cal: &mut Calendar<impl SimQueue>, now: f64) {
         let Some(index) = self.st.pending.pop() else {
             return;
         };
@@ -564,7 +708,7 @@ impl<'a> WarpEngine<'a> {
                 self.st.warp_finish.push(start);
                 if !done {
                     live += 1;
-                    sched.schedule(start, wid);
+                    cal.schedule(start, wid);
                 }
             }
         }
@@ -574,11 +718,11 @@ impl<'a> WarpEngine<'a> {
         self.st.barriers.claim_block(bound);
         // A block whose roles all had zero work completes immediately.
         if live == 0 {
-            self.launch_next_block(sched, start);
+            self.launch_next_block(cal, start);
         }
     }
 
-    fn finish_warp(&mut self, sched: &mut impl Schedule, now: f64, w: u32) {
+    fn finish_warp(&mut self, cal: &mut Calendar<impl SimQueue>, now: f64, w: u32) {
         let wi = w as usize;
         let meta = self.st.warp_meta[wi];
         self.st.warp_exec[wi].pc = DONE_PC;
@@ -588,7 +732,7 @@ impl<'a> WarpEngine<'a> {
         let b = meta.block as usize;
         self.st.block_live[b] -= 1;
         if self.st.block_live[b] == 0 {
-            self.launch_next_block(sched, now);
+            self.launch_next_block(cal, now);
         }
     }
 
@@ -597,7 +741,7 @@ impl<'a> WarpEngine<'a> {
     /// is met. The arriving warp's stored state must be current (the
     /// event handler writes its local copy back first), because a
     /// release advances every waiter's pc — including the arriver's.
-    fn arrive_barrier(&mut self, sched: &mut impl Schedule, now: f64, w: u32, id: u16) {
+    fn arrive_barrier(&mut self, cal: &mut Calendar<impl SimQueue>, now: f64, w: u32, id: u16) {
         let bound = self.prog.barrier_expected.len();
         let expected = self.prog.barrier_expected[id as usize];
         let block = self.st.warp_meta[w as usize].block as usize;
@@ -630,7 +774,7 @@ impl<'a> WarpEngine<'a> {
                     exec.pc = exec.pc_start;
                     exec.iters_left -= 1;
                 }
-                sched.schedule(now + BARRIER_COST, wi);
+                cal.schedule(now + BARRIER_COST, wi);
             }
             self.st.barriers.recycle(waiters);
         }
@@ -745,10 +889,25 @@ impl<'a> WarpEngine<'a> {
     }
 }
 
-impl<'a, Q: SimQueue> EventHandler<Q> for WarpEngine<'a> {
-    /// One warp wake-up (plus any macro-stepped inline continuations).
+impl<'a> WarpEngine<'a> {
+    /// Drains `cal`, handing every wake-up to [`WarpEngine::on_event`].
     #[inline]
-    fn on_event(&mut self, event: Event, ctx: &mut SimulationContext<'_, Q>) {
+    fn run<Q: SimQueue>(&mut self, cal: &mut Calendar<Q>) {
+        while let Some((time, w, inline_bound)) = cal.pop() {
+            self.on_event(cal, time, w, inline_bound);
+        }
+    }
+
+    /// One wake-up of warp `w` at `time` (plus any macro-stepped inline
+    /// continuations below `inline_bound`, see [`Calendar::pop`]).
+    #[inline]
+    fn on_event<Q: SimQueue>(
+        &mut self,
+        cal: &mut Calendar<Q>,
+        time: f64,
+        w: u32,
+        inline_bound: f64,
+    ) {
         // Copies of the shared-reference fields and spec scalars. The
         // references are `Copy`, so these locals borrow nothing from
         // `self` — and being immutable borrows, their targets are
@@ -763,8 +922,6 @@ impl<'a, Q: SimQueue> EventHandler<Q> for WarpEngine<'a> {
         let shared_latency = self.spec.shared_latency;
         let l1_latency = self.spec.l1_latency;
         self.pops += 1;
-        let time = event.time;
-        let w = event.payload;
         let wi = w as usize;
         let mut now = time;
         // Pops drain in ascending time order and a coalesced run never
@@ -776,13 +933,12 @@ impl<'a, Q: SimQueue> EventHandler<Q> for WarpEngine<'a> {
         // The earliest *other* pending event bounds how far this warp
         // may be advanced inline: while the warp's next wake-up is
         // strictly below it, that wake-up would be the next event popped
-        // anyway, so processing it here is exact. The kernel hands the
-        // bound to the handler with the pop itself
-        // ([`SimulationContext::inline_bound`]); the calendar is
+        // anyway, so processing it here is exact. The calendar hands the
+        // bound over with the pop itself ([`Calendar::pop`]); it is
         // untouched during a pure run, so the bound stays valid for the
         // whole coalesced run.
         let qmin = if self.macro_on {
-            ctx.inline_bound()
+            inline_bound
         } else {
             f64::NEG_INFINITY
         };
@@ -799,7 +955,7 @@ impl<'a, Q: SimQueue> EventHandler<Q> for WarpEngine<'a> {
             // A warp with no iterations left after advancing is done.
             if exec.iters_left == 0 {
                 self.st.warp_exec[wi] = exec;
-                self.finish_warp(ctx, now, w);
+                self.finish_warp(cal, now, w);
                 break;
             }
             let next: f64;
@@ -851,7 +1007,7 @@ impl<'a, Q: SimQueue> EventHandler<Q> for WarpEngine<'a> {
                                 continue;
                             }
                             self.st.warp_exec[wi] = exec;
-                            ctx.schedule(next, w);
+                            cal.schedule(next, w);
                             break;
                         }
                     }
@@ -861,7 +1017,7 @@ impl<'a, Q: SimQueue> EventHandler<Q> for WarpEngine<'a> {
                         // copy back first (the release advances this
                         // warp's stored pc).
                         self.st.warp_exec[wi] = exec;
-                        self.arrive_barrier(ctx, now, w, id);
+                        self.arrive_barrier(cal, now, w, id);
                         break;
                     }
                 }
@@ -882,7 +1038,7 @@ impl<'a, Q: SimQueue> EventHandler<Q> for WarpEngine<'a> {
                 self.last_time = self.last_time.max(now);
             } else {
                 self.st.warp_exec[wi] = exec;
-                ctx.schedule(next, w);
+                cal.schedule(next, w);
                 break;
             }
         }
@@ -893,7 +1049,7 @@ impl<'a, Q: SimQueue> EventHandler<Q> for WarpEngine<'a> {
 }
 
 /// Validates the plan, resets the scratch arena, launches the first wave
-/// of blocks and drains the simulation kernel — monomorphized per queue
+/// of blocks and drains the calendar — monomorphized per queue
 /// kind. With `forks`, the run is a family's dominant member and checks
 /// before every dispatch whether another member must fork off here.
 /// (The argument list is the engine's full context on purpose: bundling
@@ -932,7 +1088,7 @@ fn simulate_on<Q: SimQueue + Clone>(
     let tracing = sink.enabled();
     let issue_cost = spec.issue_cost_per_op / spec.issue_slots_per_cycle;
     let dram_rate = spec.dram_bytes_per_cycle_per_sm(active_sms);
-    let mut sim = Simulation::new(&mut *queue);
+    let mut cal = Calendar::new(&mut *queue);
     let mut eng = WarpEngine {
         spec,
         plan,
@@ -956,14 +1112,14 @@ fn simulate_on<Q: SimQueue + Clone>(
         if eng.st.pending.is_empty() {
             break;
         }
-        eng.launch_next_block(&mut sim, 0.0);
+        eng.launch_next_block(&mut cal, 0.0);
     }
     match forks {
-        None => sim.run(&mut eng),
+        None => eng.run(&mut cal),
         Some(forks) => {
-            while let Some((event, hint)) = sim.pop_hinted() {
-                forks.before_dispatch(&sim, &eng, event, hint);
-                sim.dispatch(&mut eng, event, hint);
+            while let Some((time, w, hint)) = cal.pop() {
+                forks.before_dispatch(&cal, &eng, time, w, hint);
+                eng.on_event(&mut cal, time, w, hint);
                 forks.after_dispatch(&eng);
             }
         }

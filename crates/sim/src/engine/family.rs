@@ -22,7 +22,6 @@
 //! [`simulate`]: super::simulate
 
 use super::*;
-use crate::core::Simulation;
 
 /// Simulates `plans` with default options, returning exactly what
 /// [`super::simulate`] returns for each, in order. Plans that form a
@@ -243,22 +242,23 @@ impl<'p> Forks<'p> {
     /// and the dominant run are the same.
     pub(super) fn before_dispatch<Q: SimQueue + Clone>(
         &mut self,
-        sim: &Simulation<&mut Q>,
+        cal: &Calendar<&mut Q>,
         eng: &WarpEngine<'_>,
-        event: Event,
+        time: f64,
+        warp: u32,
         hint: f64,
     ) {
-        let w = event.payload as usize;
+        let w = warp as usize;
         let watch = self.watch[w];
         let exec = eng.st.warp_exec[w];
         if cfg!(debug_assertions) && exec.pc != DONE_PC {
-            self.probe = Some((w, exec.iters_left, self.reach(eng, w, event.time, hint)));
+            self.probe = Some((w, exec.iters_left, self.reach(eng, w, time, hint)));
         }
         // A stale wake-up of a finished warp reads nothing.
         if watch == 0 || exec.pc == DONE_PC {
             return;
         }
-        let reach = self.reach(eng, w, event.time, hint);
+        let reach = self.reach(eng, w, time, hint);
         if exec.iters_left > watch.saturating_add(reach) {
             return;
         }
@@ -275,11 +275,11 @@ impl<'p> Forks<'p> {
                 debug_assert!(e.iters_left >= d, "member diverged before its fork");
                 e.iters_left -= d;
             }
-            let mut queue = (**sim.queue()).clone();
-            let mut member_sim = sim.resume_on(&mut queue);
+            let mut queue = (*cal.queue).clone();
+            let mut member_cal = cal.resume_on(&mut queue);
             let mut member = eng.fork(plans[m.plan], &mut st);
-            member_sim.dispatch(&mut member, event, hint);
-            member_sim.run(&mut member);
+            member.on_event(&mut member_cal, time, warp, hint);
+            member.run(&mut member_cal);
             m.run = Some(member.into_run());
         }
         self.rewatch();

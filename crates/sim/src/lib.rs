@@ -25,7 +25,6 @@
 
 pub(crate) mod compile;
 pub mod concurrent;
-pub mod core;
 pub mod device;
 pub mod engine;
 pub mod error;

@@ -107,9 +107,8 @@ pub trait SimQueue {
     fn pop_with_hint(&mut self) -> Option<(f64, u32, f64)>;
 }
 
-/// Forwarding impl so a [`crate::core::Simulation`] can borrow a queue
-/// from a scratch arena (`Simulation<&mut CalendarQueue>`) instead of
-/// owning it.
+/// Forwarding impl so the engine's calendar can borrow a queue from a
+/// scratch arena (`Calendar<&mut CalendarQueue>`) instead of owning it.
 impl<Q: SimQueue + ?Sized> SimQueue for &mut Q {
     #[inline]
     fn push(&mut self, time: f64, seq: u64, warp: u32) {

@@ -12,7 +12,7 @@
 //! `.` (e.g. `query_latency_us.Resnet50`). The Prometheus renderer splits
 //! that into family `tacker_query_latency_us` with a `service="Resnet50"`
 //! label, so per-service series share one `# TYPE` family as Prometheus
-//! requires. Histograms are exposed as summaries with
+//! requires. Latency sketches are exposed as summaries with
 //! `quantile="0.5|0.9|0.99|0.999"` series plus `_sum`/`_count`.
 
 use std::collections::BTreeMap;
@@ -22,7 +22,7 @@ use crate::metrics::MetricsRegistry;
 use crate::quantile::QuantileSketch;
 use crate::timeseries::WindowRow;
 
-/// Quantiles every histogram family exposes.
+/// Quantiles every summary family exposes.
 const QUANTILES: [(f64, &str); 4] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")];
 
 /// Sanitizes a metric name into the Prometheus charset `[a-zA-Z0-9_:]`
@@ -77,19 +77,13 @@ fn series_name(family: &str, service: &Option<String>, extra: Option<(&str, &str
     }
 }
 
-/// Renders the registry in the Prometheus text exposition format (v0.0.4):
-/// counters and gauges as-is, histograms as summaries. Deterministic for
-/// a given registry state.
-pub fn prometheus_text(registry: &MetricsRegistry) -> String {
-    prometheus_text_with_latencies(registry, &[])
-}
-
-/// Renders the registry as [`prometheus_text`] does, plus one summary
-/// series per `(name, sketch)` in `latencies`: nanosecond samples exposed
-/// in microseconds (the `_us` families), under the registry's naming
-/// convention. A run report renders its latency statistics this way
-/// instead of keeping a histogram beside them.
-pub fn prometheus_text_with_latencies(
+/// Renders the registry in the Prometheus text exposition format
+/// (v0.0.4), counters and gauges as-is, plus one summary series per
+/// `(name, sketch)` in `latencies`: nanosecond samples exposed in
+/// microseconds (the `_us` families), under the registry's naming
+/// convention. A run report renders its latency statistics this way.
+/// Deterministic for a given registry state and sketch list.
+pub fn prometheus_text(
     registry: &MetricsRegistry,
     latencies: &[(String, QuantileSketch)],
 ) -> String {
@@ -124,39 +118,28 @@ pub fn prometheus_text_with_latencies(
     }
 
     let mut summary_families: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    let mut summary = |name: &str, quantile: &dyn Fn(f64) -> f64, sum: f64, count: u64| {
+    let us = |ns: u64| ns as f64 / 1e3;
+    for (name, sketch) in latencies {
         let (family, svc) = split_service(name);
         let mut lines = Vec::with_capacity(QUANTILES.len() + 2);
         for (q, tag) in QUANTILES {
             lines.push(format!(
                 "{} {:.3}",
                 series_name(&family, &svc, Some(("quantile", tag))),
-                quantile(q)
+                sketch.percentile(q).map_or(0.0, us)
             ));
         }
         lines.push(format!(
             "{} {:.3}",
             series_name(&format!("{family}_sum"), &svc, None),
-            sum
+            sketch.sum() as f64 / 1e3
         ));
         lines.push(format!(
             "{} {}",
             series_name(&format!("{family}_count"), &svc, None),
-            count
+            sketch.count()
         ));
         summary_families.entry(family).or_default().extend(lines);
-    };
-    for (name, h) in registry.histograms() {
-        summary(&name, &|q| h.percentile(q), h.sum(), h.count());
-    }
-    for (name, s) in latencies {
-        let us = |ns: u64| ns as f64 / 1e3;
-        summary(
-            name,
-            &|q| s.percentile(q).map_or(0.0, us),
-            s.sum() as f64 / 1e3,
-            s.count(),
-        );
     }
     for (family, lines) in summary_families {
         let _ = writeln!(out, "# TYPE {family} summary");
@@ -371,9 +354,11 @@ mod tests {
         reg.counter("qos_violations.svcB").add(2);
         reg.counter("qos_violations.svcA").inc();
         reg.gauge("be_work_rate").set(0.25);
-        reg.histogram("query_latency_us.svcA").observe(100.0);
-        reg.histogram("query_latency_us.svcA").observe(200.0);
-        let text = prometheus_text(&reg);
+        let mut sketch = QuantileSketch::new();
+        sketch.observe(100_000);
+        sketch.observe(200_000);
+        let latencies = [("query_latency_us.svcA".to_string(), sketch)];
+        let text = prometheus_text(&reg, &latencies);
         // One TYPE line per family even with two services.
         assert_eq!(
             text.matches("# TYPE tacker_qos_violations counter").count(),
@@ -401,7 +386,7 @@ mod tests {
             "{text}"
         );
         // Deterministic: rendering twice is byte-identical.
-        assert_eq!(text, prometheus_text(&reg));
+        assert_eq!(text, prometheus_text(&reg, &latencies));
     }
 
     #[test]
@@ -412,9 +397,8 @@ mod tests {
         for ns in [100_000u64, 200_000, 300_000, 400_000] {
             sketch.observe(ns);
         }
-        let text =
-            prometheus_text_with_latencies(&reg, &[("query_latency_us.svcA".into(), sketch)]);
-        assert!(text.starts_with(&prometheus_text(&reg)), "{text}");
+        let text = prometheus_text(&reg, &[("query_latency_us.svcA".into(), sketch)]);
+        assert!(text.starts_with(&prometheus_text(&reg, &[])), "{text}");
         assert!(
             text.contains("tacker_query_latency_us{service=\"svcA\",quantile=\"0.999\"} 400.000"),
             "{text}"
@@ -452,7 +436,7 @@ mod tests {
 
         let reg = MetricsRegistry::new();
         reg.counter("decisions").add(9);
-        let prom = prometheus_text(&reg);
+        let prom = prometheus_text(&reg, &[]);
         let summary = summarize(&prom).expect("prom summary");
         assert!(summary.contains("1 counter"), "{summary}");
         assert!(summary.contains("tacker_decisions 9"), "{summary}");

@@ -17,20 +17,20 @@
 //!   context), the QoS manager (every fuse/reorder/LC decision with its
 //!   headroom, Equation-8 inputs, predicted `T_fuse` and `T_gain`), and
 //!   the profiler (prediction error per kernel, model-refresh triggers).
-//! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and log-bucketed
-//!   streaming [`Histogram`]s, so latency distributions no longer require
-//!   retaining and sorting every sample.
+//! * [`MetricsRegistry`] — named [`Counter`]s and [`Gauge`]s.
 //! * [`chrome`] — a Chrome trace-event (Perfetto-compatible) exporter
 //!   rendering the device timeline, per-pipeline utilization counters, and
 //!   scheduler decisions as instant events.
 //! * [`quantile`] — the workspace's single rank definition plus
 //!   [`QuantileSketch`], a mergeable fixed-memory DDSketch-style quantile
-//!   sketch that backs `LatencyStats` in the serving runtime.
+//!   sketch that backs `LatencyStats` in the serving runtime — the one
+//!   structure latency distributions stream into, so they never require
+//!   retaining and sorting every sample.
 //! * [`timeseries`] — fixed-width simulated-time windows aggregating
 //!   pipeline utilization, QoS headroom, guard state, arrival/completion
 //!   rates and fused-cache hit rate, emitted as [`TraceEvent::WindowStats`].
-//! * [`export`] — Prometheus text exposition of a [`MetricsRegistry`] and
-//!   JSONL rendering of window rows, plus a summarizer for both formats
+//! * [`export`] — Prometheus text exposition of a [`MetricsRegistry`]
+//!   with latency sketches as summaries, JSONL rendering of window rows, plus a summarizer for both formats
 //!   (the `stats` CLI subcommand).
 
 pub mod chrome;
@@ -44,7 +44,7 @@ pub mod timeseries;
 pub use chrome::chrome_trace;
 pub use event::{DecisionKind, FusionRejectReason, Pipeline, ServerKind, TraceEvent};
 pub use export::{prometheus_text, summarize, timeseries_jsonl};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{Counter, Gauge, MetricsRegistry};
 pub use quantile::{nearest_rank, QuantileSketch};
 pub use sink::{JsonLinesSink, NoopSink, RingSink, TraceSink};
 pub use timeseries::{SpanKind, WindowRow, WindowSeries};

@@ -1,29 +1,13 @@
-//! A small metrics registry: named counters, gauges, and log-bucketed
-//! streaming histograms.
+//! A small metrics registry: named counters and gauges.
 //!
-//! The histogram exists so latency distributions no longer require
-//! retaining and sorting every sample (`RunReport` keeps its exact
-//! nearest-rank percentiles for QoS *gating*; the histogram is the
-//! streaming, bounded-memory view for observability). Buckets are
-//! logarithmic with [`SUB_BUCKETS_PER_OCTAVE`] sub-buckets per power of
-//! two, so any quantile estimate is within one bucket's relative width
-//! ([`Histogram::RELATIVE_ERROR`]) of the exact sample quantile. The rank
-//! definition itself lives in [`crate::quantile`], shared with the exact
-//! percentile in `tacker::metrics` and the finer-grained
-//! [`QuantileSketch`](crate::QuantileSketch).
+//! Latency distributions live in [`QuantileSketch`](crate::QuantileSketch)es
+//! (`LatencyStats` in the serving runtime), which
+//! [`prometheus_text`](crate::prometheus_text) renders beside the
+//! registry's series.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Log-histogram resolution: sub-buckets per power-of-two octave.
-pub const SUB_BUCKETS_PER_OCTAVE: u32 = 8;
-
-/// Octaves covered: values in `[1, 2^OCTAVES)` resolve exactly; smaller
-/// values clamp into the first bucket and larger into the last.
-const OCTAVES: u32 = 64;
-
-const BUCKETS: usize = (OCTAVES * SUB_BUCKETS_PER_OCTAVE) as usize;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -66,197 +50,6 @@ impl Gauge {
     }
 }
 
-fn atomic_f64_add(cell: &AtomicU64, delta: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + delta).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-fn atomic_f64_min(cell: &AtomicU64, value: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while value < f64::from_bits(cur) {
-        match cell.compare_exchange_weak(cur, value.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-fn atomic_f64_max(cell: &AtomicU64, value: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while value > f64::from_bits(cur) {
-        match cell.compare_exchange_weak(cur, value.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// A streaming histogram with logarithmic buckets
-/// ([`SUB_BUCKETS_PER_OCTAVE`] per power of two) over non-negative
-/// samples. Count, sum, min, and max are exact; quantiles are bucketed.
-pub struct Histogram {
-    counts: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.count())
-            .field("mean", &self.mean())
-            .field("min", &self.min())
-            .field("max", &self.max())
-            .finish()
-    }
-}
-
-impl Histogram {
-    /// Worst-case relative error of a quantile estimate: the multiplicative
-    /// width of one bucket, `2^(1/SUB_BUCKETS_PER_OCTAVE) − 1`.
-    pub const RELATIVE_ERROR: f64 = 0.090_507_732_665_257_66; // 2^(1/8) − 1
-
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0f64.to_bits()),
-            min: AtomicU64::new(f64::INFINITY.to_bits()),
-            max: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
-    }
-
-    fn bucket_index(value: f64) -> usize {
-        // `observe` sanitizes samples to finite non-negative values first.
-        if value <= 1.0 {
-            return 0;
-        }
-        let idx = (value.log2() * SUB_BUCKETS_PER_OCTAVE as f64).floor() as isize;
-        idx.clamp(0, BUCKETS as isize - 1) as usize
-    }
-
-    /// Lower bound of bucket `i`: `2^(i / SUB_BUCKETS_PER_OCTAVE)`.
-    fn bucket_low(i: usize) -> f64 {
-        2f64.powf(i as f64 / SUB_BUCKETS_PER_OCTAVE as f64)
-    }
-
-    /// Geometric midpoint of bucket `i`, the representative value quantile
-    /// queries return.
-    fn bucket_mid(i: usize) -> f64 {
-        2f64.powf((i as f64 + 0.5) / SUB_BUCKETS_PER_OCTAVE as f64)
-    }
-
-    /// Records one non-negative sample (negative samples clamp to 0).
-    pub fn observe(&self, value: f64) {
-        let value = if value.is_finite() {
-            value.max(0.0)
-        } else {
-            0.0
-        };
-        let idx = Self::bucket_index(value);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        atomic_f64_add(&self.sum, value);
-        atomic_f64_min(&self.min, value);
-        atomic_f64_max(&self.max, value);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Exact sum of samples.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum.load(Ordering::Relaxed))
-    }
-
-    /// Exact mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() / n as f64
-        }
-    }
-
-    /// Exact minimum sample (0.0 when empty).
-    pub fn min(&self) -> f64 {
-        let v = f64::from_bits(self.min.load(Ordering::Relaxed));
-        if v.is_finite() {
-            v
-        } else {
-            0.0
-        }
-    }
-
-    /// Exact maximum sample (0.0 when empty).
-    pub fn max(&self) -> f64 {
-        let v = f64::from_bits(self.max.load(Ordering::Relaxed));
-        if v.is_finite() {
-            v
-        } else {
-            0.0
-        }
-    }
-
-    /// Nearest-rank quantile estimate for `p` in `[0, 1]`: walks the
-    /// cumulative bucket counts and returns the holding bucket's geometric
-    /// midpoint, clamped into the exact observed `[min, max]` range.
-    /// Within [`Histogram::RELATIVE_ERROR`] of the exact sample quantile.
-    /// The rank definition is [`crate::quantile::nearest_rank`].
-    pub fn percentile(&self, p: f64) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        let rank = crate::quantile::nearest_rank(n, p);
-        if rank >= n {
-            // The n-th smallest sample is the maximum, which is tracked
-            // exactly.
-            return self.max();
-        }
-        let mut seen = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= rank {
-                return Self::bucket_mid(i).clamp(self.min(), self.max());
-            }
-        }
-        self.max()
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)`, ascending.
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let n = c.load(Ordering::Relaxed);
-                (n > 0).then(|| (Self::bucket_low(i), n))
-            })
-            .collect()
-    }
-}
-
 /// A registry of named metrics. Cloning is cheap and shares the
 /// underlying metrics (tests and exporters read what hot paths write).
 #[derive(Clone, Default)]
@@ -269,7 +62,6 @@ impl std::fmt::Debug for MetricsRegistry {
         f.debug_struct("MetricsRegistry")
             .field("counters", &self.inner.counters.lock().unwrap().len())
             .field("gauges", &self.inner.gauges.lock().unwrap().len())
-            .field("histograms", &self.inner.histograms.lock().unwrap().len())
             .finish()
     }
 }
@@ -278,7 +70,6 @@ impl std::fmt::Debug for MetricsRegistry {
 struct Inner {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl MetricsRegistry {
@@ -299,12 +90,6 @@ impl MetricsRegistry {
         map.entry(name.to_string()).or_default().clone()
     }
 
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.inner.histograms.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
-    }
-
     /// Snapshot of every counter as `(name, handle)`, sorted by name.
     pub fn counters(&self) -> Vec<(String, Arc<Counter>)> {
         let map = self.inner.counters.lock().unwrap();
@@ -317,12 +102,6 @@ impl MetricsRegistry {
         map.iter().map(|(n, g)| (n.clone(), g.clone())).collect()
     }
 
-    /// Snapshot of every histogram as `(name, handle)`, sorted by name.
-    pub fn histograms(&self) -> Vec<(String, Arc<Histogram>)> {
-        let map = self.inner.histograms.lock().unwrap();
-        map.iter().map(|(n, h)| (n.clone(), h.clone())).collect()
-    }
-
     /// A plain-text snapshot of every metric, one line each, sorted by
     /// name within each kind.
     pub fn render(&self) -> String {
@@ -332,16 +111,6 @@ impl MetricsRegistry {
         }
         for (name, g) in self.inner.gauges.lock().unwrap().iter() {
             out.push_str(&format!("gauge {name} {:.6}\n", g.get()));
-        }
-        for (name, h) in self.inner.histograms.lock().unwrap().iter() {
-            out.push_str(&format!(
-                "histogram {name} count={} mean={:.3} p50={:.3} p99={:.3} max={:.3}\n",
-                h.count(),
-                h.mean(),
-                h.percentile(0.50),
-                h.percentile(0.99),
-                h.max(),
-            ));
         }
         out
     }
@@ -361,59 +130,5 @@ mod tests {
         assert_eq!(reg.gauge("depth").get(), 3.5);
         let text = reg.render();
         assert!(text.contains("counter decisions 5"), "{text}");
-    }
-
-    #[test]
-    fn histogram_exact_stats() {
-        let h = Histogram::new();
-        for v in [1.0, 2.0, 3.0, 10.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 4);
-        assert!((h.sum() - 16.0).abs() < 1e-9);
-        assert!((h.mean() - 4.0).abs() < 1e-9);
-        assert_eq!(h.min(), 1.0);
-        assert_eq!(h.max(), 10.0);
-    }
-
-    #[test]
-    fn histogram_percentile_within_bucket_error() {
-        let h = Histogram::new();
-        let mut samples = Vec::new();
-        for i in 1..=1000u64 {
-            let v = (i * 37 % 100_000) as f64 + 1.0;
-            samples.push(v);
-            h.observe(v);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for p in [0.5, 0.9, 0.99] {
-            let rank = ((p * samples.len() as f64).ceil() as usize).max(1);
-            let exact = samples[rank - 1];
-            let est = h.percentile(p);
-            let rel = (est - exact).abs() / exact;
-            assert!(
-                rel <= Histogram::RELATIVE_ERROR + 1e-9,
-                "p={p}: est={est} exact={exact} rel={rel}"
-            );
-        }
-    }
-
-    #[test]
-    fn histogram_p100_and_p0_clamp_to_observed_range() {
-        let h = Histogram::new();
-        h.observe(7.0);
-        h.observe(700.0);
-        assert_eq!(h.percentile(1.0), 700.0);
-        assert!(h.percentile(0.0) >= 7.0);
-    }
-
-    #[test]
-    fn empty_histogram_is_all_zeroes() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.percentile(0.99), 0.0);
-        assert_eq!(h.min(), 0.0);
-        assert_eq!(h.max(), 0.0);
     }
 }

@@ -1,16 +1,11 @@
 //! The one quantile module: nearest-rank definition and the streaming
 //! quantile sketch.
 //!
-//! Two percentile implementations grew up independently in this
-//! workspace — the exact sample-sorting nearest-rank percentile in
-//! `tacker::metrics` and the log-bucket walk in
-//! [`Histogram::percentile`](crate::Histogram::percentile) — with the rank
-//! arithmetic duplicated in both. This module is now the single source of
-//! truth:
+//! This module is the single source of truth for percentiles:
 //!
 //! * [`nearest_rank`] pins the rank definition (`⌈p·n⌉`-th smallest,
-//!   clamped to `[1, n]`) shared by the exact percentile, the histogram
-//!   walk, and the sketch below;
+//!   clamped to `[1, n]`) shared by the exact sample-sorting percentile
+//!   in `tacker::metrics` and the sketch below;
 //! * [`QuantileSketch`] is a DDSketch-style mergeable quantile sketch over
 //!   integer nanosecond samples with a **fixed bucket budget** — O(1)
 //!   memory at any sample count — whose quantile estimates stay within
@@ -33,7 +28,7 @@
 /// The nearest-rank of quantile `p ∈ [0, 1]` over `n` samples: the
 /// `⌈p·n⌉`-th smallest sample, clamped into `[1, n]`. Returns 0 only when
 /// `n == 0`. This is the rank definition every percentile in the
-/// workspace uses (exact, histogram, and sketch).
+/// workspace uses (exact and sketch).
 pub fn nearest_rank(n: u64, p: f64) -> u64 {
     if n == 0 {
         return 0;
@@ -60,8 +55,7 @@ const GAMMA: f64 = 1.005 / 0.995;
 /// samples. Values below 1 clamp into the first bucket, values beyond the
 /// last bucket clamp into it. Count, sum, min and max are exact integers;
 /// quantiles return the holding bucket's geometric midpoint clamped into
-/// the observed `[min, max]`, and the top rank returns the exact maximum —
-/// mirroring [`Histogram::percentile`](crate::Histogram::percentile).
+/// the observed `[min, max]`, and the top rank returns the exact maximum.
 #[derive(Clone)]
 pub struct QuantileSketch {
     counts: Counts,

@@ -232,10 +232,10 @@ fn unobserved_fleet_reports_are_pinned() {
         .with_jobs(1);
     config.qos_target = (solo[0] + solo[1]).mul_f64(1.2);
     let pins: [u64; 4] = [
-        13_159_128_396_867_374_302,
-        11_421_826_535_363_861_232,
-        7_102_319_862_001_409_795,
-        5_995_395_163_270_552_715,
+        16_866_084_324_086_479_160,
+        13_639_558_109_546_329_259,
+        17_176_464_496_155_714_830,
+        14_413_926_253_098_782_002,
     ];
     for (policy, pin) in DispatchPolicy::ALL.into_iter().zip(pins) {
         let r = FleetRun::new(heterogeneous_fleet(3), &config, &lcs)

@@ -1,52 +1,12 @@
-//! Integration tests for the tracing/metrics layer: histogram quantile
-//! accuracy against the exact nearest-rank definition, golden output of
-//! the Chrome trace exporter, and an end-to-end traced co-location run.
+//! Integration tests for the tracing layer: golden output of the Chrome
+//! trace exporter and an end-to-end traced co-location run.
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use tacker::prelude::*;
 use tacker_kernel::SimTime;
 use tacker_sim::{Device, GpuSpec};
-use tacker_trace::{chrome_trace, DecisionKind, Histogram, RingSink, TraceEvent, TraceSink};
-
-// ---------------------------------------------------------------------------
-// Histogram vs. exact nearest-rank percentile
-// ---------------------------------------------------------------------------
-
-/// The exact nearest-rank quantile: the `⌈p·n⌉`-th smallest sample.
-fn exact_nearest_rank(samples: &[f64], p: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((p * sorted.len() as f64).ceil() as usize).max(1);
-    sorted[rank - 1]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// For samples above the histogram's unit bucket, every streaming
-    /// quantile stays within one bucket's relative error
-    /// ([`Histogram::RELATIVE_ERROR`]) of the exact nearest-rank value.
-    #[test]
-    fn histogram_percentile_matches_exact_within_bucket_error(
-        samples in proptest::collection::vec(1.0f64..1.0e7, 1..400),
-        p_mil in 1u32..1000,
-    ) {
-        let p = f64::from(p_mil) / 1000.0;
-        let h = Histogram::new();
-        for s in &samples {
-            h.observe(*s);
-        }
-        let exact = exact_nearest_rank(&samples, p);
-        let approx = h.percentile(p);
-        let rel = (approx - exact).abs() / exact;
-        prop_assert!(
-            rel <= Histogram::RELATIVE_ERROR + 1e-9,
-            "p={p}: approx {approx} vs exact {exact} (rel {rel})"
-        );
-    }
-}
+use tacker_trace::{chrome_trace, DecisionKind, RingSink, TraceEvent, TraceSink};
 
 // ---------------------------------------------------------------------------
 // Chrome exporter golden test

@@ -1,5 +1,5 @@
 //! Integration tests for the runtime pieces: fusion library, manager gain
-//! selection, strikes, and the cluster coordinator.
+//! selection and strikes.
 
 use std::sync::Arc;
 
@@ -112,70 +112,6 @@ fn library_buckets_by_scale() {
     library.prepare(&small, &be).expect("small");
     library.prepare(&big, &be).expect("big");
     assert!(library.prepared_pairs() >= 2, "distinct scale buckets");
-}
-
-/// The full §IV flow: cluster observes a service, crosses the threshold,
-/// distributes fused kernels, and a node's library then serves the
-/// manager on that node.
-#[test]
-fn cluster_prepared_pairs_serve_the_node_manager() {
-    use tacker::cluster::{ClusterManager, GpuNode};
-    use tacker_workloads::{BeApp, Intensity, LcService};
-
-    let mut cluster = ClusterManager::new(2);
-    cluster.add_node(GpuNode::new(
-        "gpu-0",
-        Arc::new(Device::new(GpuSpec::rtx2080ti())),
-    ));
-    cluster
-        .place_be(
-            "gpu-0",
-            BeApp::new("cutcp", Intensity::Compute, Benchmark::Cutcp.task()),
-        )
-        .expect("place");
-
-    let lc = LcService::new("svc", 8, vec![tc_kernel()]);
-    cluster.observe(&lc);
-    assert!(cluster.observe(&lc)); // threshold 2
-    let report = cluster.distribute(&lc).expect("distribute");
-    assert!(report.fused_pairs > 0);
-
-    // The node's library now answers without re-preparation: the pair is
-    // already resident (whether the manager's Equation 8 gate ultimately
-    // fuses depends on the instantaneous predictions).
-    let node = cluster.node("gpu-0").expect("node");
-    let before = node.library().prepared_pairs();
-    let be_head = Benchmark::Cutcp.task()[0].clone();
-    let entry = node
-        .library()
-        .prepare(&tc_kernel(), &be_head)
-        .expect("prepare")
-        .expect("pair was distributed");
-    assert!(entry.lock().expect("entry").eligible());
-    assert_eq!(
-        node.library().prepared_pairs(),
-        before,
-        "no new preparation"
-    );
-    let manager = KernelManager::new(
-        Arc::clone(node.profiler()),
-        Arc::clone(node.library()),
-        Policy::Tacker,
-    );
-    let hr = SimTime::from_millis(25);
-    let d = manager
-        .decide(
-            Some(Head::new(&tc_kernel())),
-            hr,
-            hr,
-            &[Some(Head::new(&be_head))],
-            false,
-        )
-        .expect("decide");
-    assert!(
-        !matches!(d, Decision::Idle | Decision::RunLc { .. }),
-        "with a ready BE partner and wide headroom the manager must use it, got {d:?}"
-    );
 }
 
 /// The fusion library is usable concurrently: parallel `prepare` calls on

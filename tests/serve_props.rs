@@ -60,7 +60,7 @@ proptest! {
     // Each case runs several full co-location simulations; keep it small.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Serving with explicit zero-fault `ServeOptions` (Poisson arrivals,
+    /// Serving with explicit zero-fault serve options (Poisson arrivals,
     /// empty fault plan, guard armed) reproduces the batch run bit for
     /// bit, and the guard never steps off the fuse level: the batch sweep
     /// and the serving runtime are one engine.

@@ -161,11 +161,14 @@ fn prometheus_text_matches_golden() {
     registry.counter("serve_decisions").add(42);
     registry.counter("qos_violations.Resnet50").add(3);
     registry.gauge("inject_budget_ns").set(1500.5);
-    let h = registry.histogram("query_latency_us.Resnet50");
-    for v in [100.0, 200.0, 300.0, 400.0] {
-        h.observe(v);
+    let mut latency = QuantileSketch::new();
+    for ns in [100_000, 200_000, 300_000, 400_000] {
+        latency.observe(ns);
     }
-    let text = prometheus_text(&registry);
+    let text = prometheus_text(
+        &registry,
+        &[("query_latency_us.Resnet50".to_string(), latency)],
+    );
     let golden = "\
 # TYPE tacker_qos_violations counter
 tacker_qos_violations{service=\"Resnet50\"} 3
@@ -174,7 +177,7 @@ tacker_serve_decisions 42
 # TYPE tacker_inject_budget_ns gauge
 tacker_inject_budget_ns 1500.500000
 # TYPE tacker_query_latency_us summary
-tacker_query_latency_us{service=\"Resnet50\",quantile=\"0.5\"} 206.143
+tacker_query_latency_us{service=\"Resnet50\",quantile=\"0.5\"} 199.806
 tacker_query_latency_us{service=\"Resnet50\",quantile=\"0.9\"} 400.000
 tacker_query_latency_us{service=\"Resnet50\",quantile=\"0.99\"} 400.000
 tacker_query_latency_us{service=\"Resnet50\",quantile=\"0.999\"} 400.000
@@ -477,7 +480,7 @@ fn faulted_drill_run_bytes_are_pinned() {
     run_digest(&mut hash, &report, &events);
     assert_eq!(
         hash.finish(),
-        3_508_498_144_054_933_446,
+        16_190_780_787_989_293_496,
         "faulted drill run drifted"
     );
 }
@@ -516,7 +519,7 @@ fn replayed_run_bytes_are_pinned() {
     run_digest(&mut hash, &idle, &[]);
     assert_eq!(
         hash.finish(),
-        1_326_857_484_145_937_812,
+        3_406_979_854_237_126_045,
         "replayed runs drifted"
     );
 }
