@@ -304,9 +304,11 @@ impl<'a> ColocationRun<'a> {
     /// decision is RunLc; with it, in a run without a guard, the replay
     /// covers the kernels for which the manager provably decides RunLc.
     /// While no query is active, the first BE app's kernels run back to
-    /// back until the next arrival is due (idle-period replay).
-    /// Bit-identical to the decision loop by construction. Turn off to
-    /// force the full decision loop (e.g. when benchmarking it).
+    /// back until the next arrival is due (idle-period replay). When
+    /// nothing observes the run (no windows, guard, timeline or sink),
+    /// both replays advance a whole segment per step. Bit-identical to
+    /// the decision loop by construction. Turn off to force the full
+    /// decision loop (e.g. when benchmarking it).
     #[must_use]
     pub fn steady_fast_path(mut self, on: bool) -> Self {
         self.options.fast_path = on;
@@ -401,6 +403,11 @@ struct BeState<'a> {
     recorded: Vec<bool>,
     /// Position of the head kernel within the current task iteration.
     next: usize,
+    /// Prefix sums of the task's durations over two iterations:
+    /// `prefix[i]` is the time positions `..i` (mod the task's length)
+    /// take back to back. Empty until the task is ready for idle-period
+    /// segments (see [`BeState::idle_segment`]).
+    prefix: Vec<SimTime>,
 }
 
 impl<'a> BeState<'a> {
@@ -410,6 +417,7 @@ impl<'a> BeState<'a> {
             runs: vec![None; task.len()],
             recorded: vec![false; task.len()],
             next: 0,
+            prefix: Vec::new(),
         }
     }
 
@@ -460,6 +468,58 @@ impl<'a> BeState<'a> {
             self.next = 0;
         }
     }
+
+    /// Retires the kernels an idle period launches back to back from the
+    /// head until an arrival `due` from now (`due > 0`): the fewest, `m ≥
+    /// 1`, whose summed duration `S(m)` reaches `due`. Returns `m`,
+    /// `S(m − 1)` and `S(m)`, with the head moved `m` positions on.
+    ///
+    /// `None`, with nothing done, until the task is ready: every position
+    /// has its run copy, so no first-launch probe is skipped, and its
+    /// prediction is settled ([`KernelProfiler::peek_keyed`]), so
+    /// predicting it has no side effect. In a zero-fault run both stay
+    /// true once true (copies, history and models are only ever added),
+    /// so the prefix sums are taken once. `None` for a task that takes no
+    /// time, too.
+    fn idle_segment(
+        &mut self,
+        profiler: &KernelProfiler,
+        due: SimTime,
+    ) -> Option<(u64, SimTime, SimTime)> {
+        let len = self.task.len();
+        if self.prefix.is_empty() {
+            let settled = |h: &Head<'_>| profiler.peek_keyed(h.kernel(), h.fp()).is_some();
+            if self.runs.iter().any(Option::is_none) || !self.task.iter().all(settled) {
+                return None;
+            }
+            let durations = self.runs.iter().flatten().map(|r| r.duration);
+            let sums = durations
+                .cycle()
+                .take(2 * len)
+                .scan(SimTime::ZERO, |sum, d| {
+                    *sum += d;
+                    Some(*sum)
+                });
+            self.prefix = std::iter::once(SimTime::ZERO).chain(sums).collect();
+        }
+        let cycle = self.prefix[len].as_nanos();
+        if cycle == 0 {
+            return None;
+        }
+        // `whole` iterations fall short of `due`; the rest, 1 ns to one
+        // iteration, ends inside the next, as in `QueryProfile::replay_end`.
+        let whole = (due.as_nanos() - 1) / cycle;
+        let rest = due - SimTime::from_nanos(whole * cycle);
+        let from = self.next;
+        let start = self.prefix[from];
+        let tail =
+            1 + self.prefix[from + 1..=from + len].partition_point(|&end| end - start < rest);
+        let done = SimTime::from_nanos(whole * cycle);
+        let before_last = done + (self.prefix[from + tail - 1] - start);
+        let elapsed = done + (self.prefix[from + tail] - start);
+        self.next = (from + tail) % len;
+        Some((whole * len as u64 + tail as u64, before_last, elapsed))
+    }
 }
 
 /// Plain-kernel launches a run served from its own copies of device runs
@@ -487,6 +547,10 @@ thread_local! {
     /// The `(from, end)` kernel range of every busy-period replay segment
     /// on this thread.
     static BUSY_SEGMENTS: std::cell::RefCell<Vec<(usize, usize)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+    /// The `(head position, kernels)` of every idle-period segment on this
+    /// thread.
+    static IDLE_SEGMENTS: std::cell::RefCell<Vec<(usize, u64)>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -1243,7 +1307,10 @@ impl<'a> RunState<'a> {
     }
 
     /// The RunBe arm: a BE head kernel reordered into the headroom, or
-    /// run on an idle device (which replenishes the budget).
+    /// run on an idle device (which replenishes the budget). On an idle
+    /// device it holds the idle-period replay: kernel by kernel when an
+    /// observer is on or the app's task is not yet ready, otherwise the
+    /// rest of the period in one step ([`RunState::idle_segment`]).
     #[inline(never)]
     fn run_be(
         &mut self,
@@ -1277,7 +1344,7 @@ impl<'a> RunState<'a> {
                 && was_idle
                 && self.arrivals.upcoming().is_some_and(|t| t > self.now)
                 && self.manager.best_effort_allowed();
-            if !replay {
+            if !replay || (!self.observed && self.idle_segment(be_index)) {
                 return Ok(());
             }
             self.push_guard_level();
@@ -1288,6 +1355,48 @@ impl<'a> RunState<'a> {
             #[cfg(test)]
             IDLE_REPLAYED.with(|n| n.set(n.get() + 1));
         }
+    }
+
+    /// The rest of an idle period in one step, for a run without an
+    /// observer: every BE kernel of app `i` that the per-kernel replay
+    /// would launch before the next arrival is due, found in closed form
+    /// by [`BeState::idle_segment`]. Each per-kernel update is a sum or a
+    /// last write: the clock, busy time, BE work, kernel and launch
+    /// counts, credited hits and the `decisions` counter add; the budget
+    /// replenishes once (`min(cap, min(cap, x) + d) = min(cap, x + d)`
+    /// for `d ≥ 0`); the gauge holds the budget before the last kernel;
+    /// the co-runner and the head are the last kernel's and the one after
+    /// it. The skipped predictions are settled, so they changed nothing.
+    /// `false`, with nothing done, when the task is not ready.
+    fn idle_segment(&mut self, i: usize) -> bool {
+        let Some(due) = self.arrivals.upcoming().map(|t| t - self.now) else {
+            return false;
+        };
+        let be = &mut self.be_states[i];
+        #[cfg(test)]
+        let from = be.next;
+        let Some((kernels, before_last, elapsed)) = be.idle_segment(self.profiler, due) else {
+            return false;
+        };
+        #[cfg(test)]
+        {
+            IDLE_SEGMENTS.with(|log| log.borrow_mut().push((from, kernels)));
+            IDLE_REPLAYED.with(|n| n.set(n.get() + kernels));
+        }
+        let len = be.task.len();
+        self.last_be = Some(&*be.task[(be.next + len - 1) % len].kernel().def);
+        self.be_heads[i] = be.head();
+        let replenished = |t: SimTime| self.budget_cap.min(self.budget + t.as_nanos() as i128);
+        self.m_budget.set(replenished(before_last) as f64);
+        self.budget = replenished(elapsed);
+        self.m_decisions.add(kernels);
+        self.credited.hits += kernels;
+        self.launch_seq += kernels;
+        self.now += elapsed;
+        self.report.busy += elapsed;
+        self.report.be_work += elapsed;
+        self.report.be_kernels += kernels;
+        true
     }
 
     /// The Idle arm: jump to the next arrival of any service — or the
@@ -2039,6 +2148,92 @@ mod tests {
             format!("{r:?}\n{}", r.prometheus_text())
         };
         assert_eq!(text(true), text(false));
+    }
+
+    #[test]
+    fn idle_segments_stop_where_arrivals_are_due() {
+        // Baymax with a target below the solo query time plus the safety
+        // margin never reorders or fuses, so BE heads move only in idle
+        // periods. The first idle period ends exactly after one iteration
+        // of the task, which it runs kernel by kernel, taking the copies.
+        // The task's last two kernels share a definition, so the last one's
+        // prediction is settled by the model the second fits before its
+        // first launch: only the missing copy keeps that kernel in the loop.
+        // Each later period starts with the decided kernel at the head
+        // position, then replays as one segment to an arrival due: at a
+        // whole-iteration boundary, 1 ns past a kernel boundary, inside the
+        // first kernel, and 1 ns past three iterations from mid-task.
+        let measuring = device();
+        let lc = tiny_lc();
+        let solo = QueryProfile::measure(&measuring, &lc).unwrap().solo();
+        let mut task = Benchmark::Mriq.task();
+        task.extend(Benchmark::Cutcp.task());
+        task.extend(Benchmark::Cutcp.task_scaled(2));
+        let len = task.len();
+        let d: Vec<SimTime> = task
+            .iter()
+            .map(|k| Head::new(k).run(&measuring).unwrap().duration)
+            .collect();
+        // The duration at position `p` of the endless task stream.
+        let at = |p: usize| d[p % len];
+        let cycle: SimTime = d.iter().copied().sum();
+        let be = BeApp::new("mix", Intensity::Compute, task);
+        let mut cfg = config();
+        cfg.qos_target = solo.mul_f64(1.05);
+        let ns = SimTime::from_nanos;
+        let mut stream = vec![cycle];
+        let mut end = cycle + solo;
+        // Arrival 1, on the period's whole-iteration boundary.
+        stream.push(end + at(0) + cycle * 2);
+        end = stream[1] + solo;
+        // Arrival 2, 1 ns into position 3's kernel.
+        stream.push(end + at(1) + at(2) + ns(1));
+        end += at(1) + at(2) + at(3) + solo;
+        // Arrival 3, 1 ns into position 5's kernel.
+        stream.push(end + at(4) + ns(1));
+        end += at(4) + at(5) + solo;
+        // Arrival 4, three iterations and 1 ns after position 6's kernel.
+        stream.push(end + at(6) + cycle * 3 + ns(1));
+        let run = |fast: bool| {
+            let device = device();
+            IDLE_SEGMENTS.with(|log| log.borrow_mut().clear());
+            let before = IDLE_REPLAYED.with(std::cell::Cell::get);
+            let r = ColocationRun::new(
+                &device,
+                &cfg,
+                std::slice::from_ref(&lc),
+                std::slice::from_ref(&be),
+            )
+            .unwrap()
+            .policy(Policy::Baymax)
+            .at(SimTime::from_millis(1))
+            .arrivals(ArrivalSpec::Replay(vec![stream.clone()]))
+            .steady_fast_path(fast)
+            .run()
+            .unwrap();
+            let replayed = IDLE_REPLAYED.with(std::cell::Cell::get) - before;
+            let counters = (device.cache_stats(), device.fused_cache_stats());
+            (IDLE_SEGMENTS.with(|log| log.take()), replayed, counters, r)
+        };
+        let (segments, replayed, fast_counters, fast) = run(true);
+        let (none, _, slow_counters, slow) = run(false);
+        assert!(none.is_empty(), "the decision loop replayed");
+        let l = len as u64;
+        assert_eq!(
+            segments,
+            [(1, 2 * l), (2, 2), (5 % len, 1), (7 % len, 3 * l + 1)]
+        );
+        // The first period replayed all but its decided kernel one by one.
+        let segmented: u64 = segments.iter().map(|&(_, m)| m).sum();
+        assert_eq!(replayed, l - 1 + segmented);
+        assert_eq!(fast.be_kernels, l + 4 + segmented);
+        let latencies = fast.query_latencies();
+        assert_eq!(latencies[..2], [solo, solo]);
+        assert_eq!(latencies[2], at(3) - ns(1) + solo);
+        assert_eq!(latencies[3], at(5) - ns(1) + solo);
+        let text = |r: &RunReport| format!("{r:?}\n{}", r.prometheus_text());
+        assert_eq!(text(&fast), text(&slow));
+        assert_eq!(fast_counters, slow_counters, "device counters diverged");
     }
 
     #[test]

@@ -326,6 +326,27 @@ proptest! {
         let (fast, slow) = case.fast_and_slow(&dnn_services()[usize::from(inception)], first, second);
         prop_assert_eq!(fast, slow);
     }
+
+    /// The idle-period replay with no observer, where it advances a whole
+    /// segment per step, is bit-identical to the full decision loop,
+    /// device counters included: Tacker, Baymax or FusionOnly, one or two
+    /// BE apps (Parboil or DNN training), and gaps from half a solo query
+    /// time to twenty, so idle periods span zero, one or many iterations
+    /// of the BE task.
+    #[test]
+    fn unobserved_idle_segments_are_bit_identical(
+        seed in 0u64..1000,
+        gemm_m in 1024u64..4096,
+        gap_ratio in 0.5f64..20.0,
+        first in 0usize..7,
+        second in 0usize..7,
+        policy in 0usize..3,
+        target in 1.1f64..3.0,
+    ) {
+        let case = ColocatedCase { seed, queries: 12, gap_ratio, target, policy, observed: 0 };
+        let (fast, slow) = case.fast_and_slow(&lc_service(gemm_m), first, second);
+        prop_assert_eq!(fast, slow);
+    }
 }
 
 /// Resnet50 and Inception, compiled once for the 2080Ti.
