@@ -705,7 +705,7 @@ impl FleetRun {
         let by_segment = self
             .nodes
             .iter()
-            .all(|node| opts.replays_by_segment(&self.config, self.device_policy, &node.be, false));
+            .all(|node| opts.replays_by_segment(self.device_policy, &node.be, false));
         if by_segment && queries < INLINE_REPLAY_QUERIES {
             1
         } else {
@@ -1020,11 +1020,14 @@ mod tests {
         let lc_only = fleet();
         assert_eq!(lc_only.replay_jobs(INLINE_REPLAY_QUERIES - 1), 1);
         assert_eq!(lc_only.replay_jobs(INLINE_REPLAY_QUERIES), pooled(2));
-        // Every other device replays kernel by kernel: the pool pays.
+        // Windows observe without changing how the devices replay.
         let windowed = fleet().windowed(SimTime::from_millis(10));
+        assert_eq!(windowed.replay_jobs(INLINE_REPLAY_QUERIES - 1), 1);
+        // A guard or the decision loop makes every device decide per
+        // kernel: the pool pays.
         let guarded = fleet().guarded(GuardConfig::default());
         let decision_loop = fleet().steady_fast_path(false);
-        for run in [&windowed, &guarded, &decision_loop] {
+        for run in [&guarded, &decision_loop] {
             assert_eq!(run.replay_jobs(24), pooled(2));
         }
         let nodes = || vec![FleetNode::new("gpu-0", GpuSpec::rtx2080ti()).with_be(tiny_be())];
@@ -1045,8 +1048,11 @@ mod tests {
         let inline = fleet(&[tiny_lc()]);
         assert_eq!(inline.routed_queries(), cfg.queries);
         assert_eq!(inline.jobs_used(), 1);
-        // Pooled: windows make every device decide per kernel.
-        let pooled = fleet(&[tiny_lc(), tiny_lc()]).windowed(SimTime::from_millis(10));
+        // Served inline too: windows do not change how the devices replay.
+        let windowed = fleet(&[tiny_lc()]).windowed(SimTime::from_millis(10));
+        assert_eq!(windowed.jobs_used(), 1);
+        // Pooled: the decision loop decides every kernel on every device.
+        let pooled = fleet(&[tiny_lc(), tiny_lc()]).steady_fast_path(false);
         assert_eq!(pooled.routed_queries(), 2 * cfg.queries);
         assert_eq!(
             pooled.jobs_used(),

@@ -286,8 +286,8 @@ pub(crate) fn query_fingerprint(lc: &LcService) -> u64 {
 pub(crate) struct QueryProfile {
     /// Memoized zero-fault runs, shared with the device cache.
     pub(crate) runs: Vec<Arc<KernelRun>>,
-    /// The runs' durations, contiguous: all the replay reads per kernel
-    /// unless windows or a timeline are recorded.
+    /// The runs' durations, contiguous: the kernels' predictions, recorded
+    /// as profiler history and read by every decided LC kernel.
     pub(crate) durations: Vec<SimTime>,
     /// Prefix sums of `durations`: `prefix[i]` is the time kernels `..i`
     /// take, so a replayed segment's time is one subtraction.

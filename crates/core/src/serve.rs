@@ -120,26 +120,20 @@ impl Default for ServeOptions {
 
 impl ServeOptions {
     /// Whether a run under these options replays every busy period as
-    /// whole segments: the replays are on, nothing faults, nothing traces,
-    /// `policy` admits no BE work of `be_apps`, and no observer (windows,
-    /// guard, timeline) is on. Such a run costs a few host steps per query
-    /// rather than a decision per kernel.
+    /// whole segments: the replays are on, nothing faults, traces or
+    /// guards the run, and `policy` admits no BE work of `be_apps`. Such a
+    /// run costs a few host steps per query rather than a decision per
+    /// kernel, plus a window span and a timeline entry per kernel when
+    /// those are on: they read each segment without choosing how it runs.
     pub(crate) fn replays_by_segment(
         &self,
-        config: &ExperimentConfig,
         policy: Policy,
         be_apps: &[BeApp],
         tracing: bool,
     ) -> bool {
         let no_be =
             !policy.best_effort_enabled() || be_apps.iter().all(|b| b.task_kernels().is_empty());
-        self.fast_path
-            && !tracing
-            && self.faults.is_zero()
-            && no_be
-            && self.guard.is_none()
-            && self.window.is_none()
-            && !config.record_timeline
+        self.fast_path && !tracing && self.faults.is_zero() && self.guard.is_none() && no_be
     }
 }
 
@@ -279,7 +273,9 @@ impl<'a> ColocationRun<'a> {
     /// Enables windowed time-series telemetry with the given window
     /// width: one [`WindowRow`] per non-empty window lands in
     /// [`RunReport::windows`] (and on the trace sink as
-    /// [`TraceEvent::WindowStats`] when tracing).
+    /// [`TraceEvent::WindowStats`] when tracing). Windows only observe:
+    /// the replays ([`ColocationRun::steady_fast_path`]) still run by
+    /// segment and feed the windows every kernel of each segment.
     #[must_use]
     pub fn windowed(mut self, width: SimTime) -> Self {
         self.options.window = Some(width);
@@ -296,19 +292,18 @@ impl<'a> ColocationRun<'a> {
     }
 
     /// Enables or disables the busy-period and idle-period replays
-    /// (default on). In a run with no faults and no trace sink they skip
-    /// the decision loop where its decisions are known: while a query is
-    /// active, the front query's kernels replay from its measured
-    /// [`QueryProfile`] until it retires or the next arrival is due
-    /// (busy-period replay). Without admissible BE work every such
-    /// decision is RunLc; with it, in a run without a guard, the replay
-    /// covers the kernels for which the manager provably decides RunLc.
-    /// While no query is active, the first BE app's kernels run back to
-    /// back until the next arrival is due (idle-period replay). When
-    /// nothing observes the run (no windows, guard, timeline or sink),
-    /// both replays advance a whole segment per step. Bit-identical to
-    /// the decision loop by construction. Turn off to force the full
-    /// decision loop (e.g. when benchmarking it).
+    /// (default on). In a run with no faults, no trace sink and no guard
+    /// they skip the decision loop where its decisions are known, one
+    /// segment per step: while a query is active, the front query's
+    /// kernels replay from its measured [`QueryProfile`] until it retires
+    /// or the next arrival is due (busy-period replay). Without admissible
+    /// BE work every such decision is RunLc; with it, the replay covers
+    /// the kernels for which the manager provably decides RunLc. While no
+    /// query is active, the first BE app's kernels run back to back until
+    /// the next arrival is due, once its task is ready (idle-period
+    /// replay). Windows and the timeline see every replayed kernel.
+    /// Bit-identical to the decision loop by construction. Turn off to
+    /// force the full decision loop (e.g. when benchmarking it).
     #[must_use]
     pub fn steady_fast_path(mut self, on: bool) -> Self {
         self.options.fast_path = on;
@@ -540,10 +535,6 @@ impl Drop for CreditedHits<'_> {
 
 #[cfg(test)]
 thread_local! {
-    /// BE kernels the idle-period replay served on this thread. Tests
-    /// read it because device counters are the same with the replay on
-    /// or off.
-    static IDLE_REPLAYED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     /// The `(from, end)` kernel range of every busy-period replay segment
     /// on this thread.
     static BUSY_SEGMENTS: std::cell::RefCell<Vec<(usize, usize)>> =
@@ -793,18 +784,15 @@ pub(crate) fn run_engine(
         .collect();
 
     // The replays (see ColocationRun::steady_fast_path) need a run in which every
-    // launch realizes its memoized timing (no faults) and no trace sink
+    // launch realizes its memoized timing (no faults), no trace sink
     // (Decision events would embed per-point headroom the replays skip
-    // computing). Without admissible BE work, the manager's only decision
+    // computing) and no guard (its level and margin may move at every
+    // launch). Without admissible BE work, the manager's only decision
     // while a query is active is RunLc for the front query's next kernel;
-    // with it, the busy-period replay proves RunLc kernel by kernel, which
-    // needs a run without a guard (its level and margin may move at every
-    // launch). While no query is active the only decision is RunBe for the
-    // first BE head, as long as the guard admits BE work (idle-period
-    // replay, in the RunBe arm).
-    let steady = opts.fast_path && !tracing && faults.is_zero();
-    let lc_only = be_heads.iter().all(Option::is_none);
-    let busy_replay = steady && (lc_only || guard.is_none());
+    // with it, the busy-period replay proves RunLc for a stretch. While
+    // no query is active the only decision is RunBe for the first BE head
+    // (idle-period replay, in the RunBe arm).
+    let steady = opts.fast_path && !tracing && faults.is_zero() && guard.is_none();
 
     // Fault sampling resolved up front: which LC kernel positions of which
     // service run persistently slower than their profile says.
@@ -902,12 +890,12 @@ pub(crate) fn run_engine(
         },
     };
     debug_assert_eq!(
-        busy_replay && lc_only && !run.observed,
-        opts.replays_by_segment(config, policy, be_apps, tracing),
+        steady && run.be_heads.iter().all(Option::is_none),
+        opts.replays_by_segment(policy, be_apps, tracing),
         "ServeOptions::replays_by_segment names the runs that replay by segment"
     );
 
-    run.serve_loop(busy_replay)?;
+    run.serve_loop()?;
     let report = run.finish();
     sink.flush();
     Ok(report)
@@ -920,6 +908,47 @@ fn row_emitter(sink: &dyn TraceSink, tracing: bool) -> impl FnMut(&WindowRow) + 
         if tracing {
             sink.record(TraceEvent::WindowStats { row: row.clone() });
         }
+    }
+}
+
+/// The label of a launch of `kind` in trace events and the timeline.
+fn span_label(kind: SpanKind) -> &'static str {
+    match kind {
+        SpanKind::Lc => "LC",
+        SpanKind::Be => "BE",
+        SpanKind::Fused => "FUSED",
+    }
+}
+
+/// Feeds the window series and the timeline `runs` of `kind`, launched
+/// back to back from `start`: for each kernel, the headroom sample at its
+/// start (when `headroom` is given), its span and its timeline entry. A
+/// launch reaches the windows and the timeline only through here, whether
+/// it was decided or replayed in a segment.
+fn feed_spans<'r>(
+    mut windows: Option<&mut WindowSeries>,
+    mut timeline: Option<&mut TimelineRecorder>,
+    emit: &mut impl FnMut(&WindowRow),
+    start: SimTime,
+    runs: impl IntoIterator<Item = &'r KernelRun>,
+    kind: SpanKind,
+    headroom: Option<SimTime>,
+) {
+    let mut t = start;
+    for run in runs {
+        let end = t + run.duration;
+        if let Some(ws) = windows.as_deref_mut() {
+            if let Some(headroom) = headroom {
+                ws.observe_headroom(t, headroom, emit);
+            }
+            let (tc, cd) = run.pipe_utilizations();
+            ws.on_span(t, end, tc, cd, kind, emit);
+        }
+        if let Some(tl) = timeline.as_deref_mut() {
+            tl.advance_to(t);
+            tl.record(run, span_label(kind));
+        }
+        t = end;
     }
 }
 
@@ -937,6 +966,7 @@ struct RunState<'a> {
     sink: &'a dyn TraceSink,
     tracing: bool,
     /// Whether a launch has an observer (windows, sink, guard, timeline).
+    /// In a run that may replay, only windows and the timeline can be on.
     observed: bool,
     /// Each service's query, measured.
     profiles: &'a [Arc<QueryProfile>],
@@ -986,7 +1016,7 @@ impl<'a> RunState<'a> {
     /// The serve loop, until every query has retired. Out of line, like
     /// the replays, so that the loop keeps the run's fields in registers.
     #[inline(never)]
-    fn serve_loop(&mut self, busy_replay: bool) -> Result<(), TackerError> {
+    fn serve_loop(&mut self) -> Result<(), TackerError> {
         loop {
             self.flood()?;
             self.outage();
@@ -994,7 +1024,7 @@ impl<'a> RunState<'a> {
             if self.active.is_empty() && self.arrivals.upcoming().is_none() {
                 return Ok(());
             }
-            let replayed = busy_replay && !self.active.is_empty() && self.busy_replay();
+            let replayed = self.steady && !self.active.is_empty() && self.busy_replay();
             if !replayed && !self.decide()? {
                 return Ok(());
             }
@@ -1025,7 +1055,7 @@ impl<'a> RunState<'a> {
                 let predicted = self.profiler.predict_keyed(head.kernel(), head.fp())?;
                 let run = self.be_states[bi].head_run(self.device, &mut self.credited)?;
                 self.launch_seq += 1;
-                self.launched(&run, run.duration, SpanKind::Be, predicted, None);
+                self.launched(&run, SpanKind::Be, predicted, None);
                 self.be_retired(bi, run.duration);
             }
         }
@@ -1078,12 +1108,13 @@ impl<'a> RunState<'a> {
     /// memo and its strikes) moves during a RunLc stretch. `false`, with
     /// nothing done, when it cannot prove the first kernel.
     ///
-    /// Without an observer the whole segment is one step: every per-kernel
-    /// update is a sum (clock, busy time, launch count, decisions, credited
-    /// hits, the query's predicted remaining time), and the budget gauge
-    /// holds the value each decision would set. With one, the same segment
-    /// runs kernel by kernel, making the RunLc arm's updates in its order
-    /// with the profiled duration as the prediction the guard observes.
+    /// The whole segment is one step: every per-kernel update is a sum
+    /// (clock, busy time, launch count, decisions, credited hits, the
+    /// query's predicted remaining time), and the budget gauge holds the
+    /// value each decision would set. The windows and the timeline get
+    /// every kernel of it, with the headroom taken once: during the
+    /// segment `now` grows by exactly what the front query's predicted
+    /// remaining time shrinks, so every Equation 9 slack term stays put.
     /// Out of line, so that the loop keeps the run's fields in registers.
     #[inline(never)]
     fn busy_replay(&mut self) -> bool {
@@ -1118,8 +1149,16 @@ impl<'a> RunState<'a> {
             self.credited.hits += kernels;
         }
         if self.observed {
-            self.observed_replay(profile, from, end);
-            return true;
+            let headroom = self.windows.is_some().then(|| self.headroom());
+            feed_spans(
+                self.windows.as_mut(),
+                self.report.timeline.as_mut(),
+                &mut row_emitter(self.sink, self.tracing),
+                self.now,
+                profile.runs[from..end].iter().map(|r| &**r),
+                SpanKind::Lc,
+                headroom,
+            );
         }
         let elapsed = profile.elapsed(from, end);
         let q = &mut self.active[0];
@@ -1129,33 +1168,6 @@ impl<'a> RunState<'a> {
         self.now += elapsed;
         self.report.busy += elapsed;
         true
-    }
-
-    /// The busy-period replay of kernels `from..end` of the front query
-    /// when an observer is on: each kernel's headroom sample, launch and
-    /// end-of-iteration guard-level push (for every kernel but the last;
-    /// fused-plan cache stats cannot move, since nothing probes the
-    /// device). The headroom is taken once: during the segment `now` grows
-    /// by exactly what the front query's predicted remaining time shrinks,
-    /// so every Equation 9 slack term stays put.
-    fn observed_replay(&mut self, profile: &'a QueryProfile, from: usize, end: usize) {
-        let heads = &self.lc_heads[self.active[0].service];
-        let headroom = self.windows.is_some().then(|| self.headroom());
-        for (idx, &head) in heads.iter().enumerate().take(end).skip(from) {
-            if let (Some(ws), Some(headroom)) = (self.windows.as_mut(), headroom) {
-                let mut emit = row_emitter(self.sink, self.tracing);
-                ws.observe_headroom(self.now, headroom, &mut emit);
-            }
-            self.next_lc();
-            // The profiled duration is also the kernel's prediction.
-            let duration = profile.durations[idx];
-            self.launch_seq += 1;
-            let run = &profile.runs[idx];
-            self.launched(run, duration, SpanKind::Lc, duration, Some(head));
-            if idx + 1 < end {
-                self.push_guard_level();
-            }
-        }
     }
 
     /// One manager decision on the Equation 9 headroom, capped by the
@@ -1249,7 +1261,7 @@ impl<'a> RunState<'a> {
         self.credited.hits += 1;
         let run = self.faulted(run, self.mispredict[si][idx]);
         let head = self.lc_heads[si][idx];
-        self.launched(&run, run.duration, SpanKind::Lc, predicted, Some(head));
+        self.launched(&run, SpanKind::Lc, predicted, Some(head));
     }
 
     /// The RunFused arm: the front query's next kernel fused with a BE
@@ -1276,7 +1288,7 @@ impl<'a> RunState<'a> {
             .device
             .run_keyed(fp, &launch.def, || (*launch).clone())?;
         let run = self.faulted(run, self.mispredict[si][idx]);
-        self.launched(&run, run.duration, SpanKind::Fused, predicted, None);
+        self.launched(&run, SpanKind::Fused, predicted, None);
         let work =
             self.be_states[be_index].credit(self.device, self.profiler, &mut self.credited)?;
         self.be_retired(be_index, work);
@@ -1308,80 +1320,77 @@ impl<'a> RunState<'a> {
 
     /// The RunBe arm: a BE head kernel reordered into the headroom, or
     /// run on an idle device (which replenishes the budget). On an idle
-    /// device it holds the idle-period replay: kernel by kernel when an
-    /// observer is on or the app's task is not yet ready, otherwise the
-    /// rest of the period in one step ([`RunState::idle_segment`]).
+    /// device, in a run that may replay, the rest of the idle period
+    /// follows in one step once the app's task is ready
+    /// ([`RunState::idle_segment`]).
     #[inline(never)]
     fn run_be(
         &mut self,
         be_index: usize,
-        mut predicted: SimTime,
+        predicted: SimTime,
         was_idle: bool,
     ) -> Result<(), TackerError> {
-        loop {
-            let be = self.be_heads[be_index].expect("BE head exists");
-            let run = self.be_states[be_index].head_run(self.device, &mut self.credited)?;
-            let run = self.faulted(run, 1.0);
-            self.launched(&run, run.duration, SpanKind::Be, predicted, Some(be));
-            self.be_retired(be_index, run.duration);
-            if was_idle {
-                // Free-running BE during idle replenishes the budget.
-                self.budget = self
-                    .budget_cap
-                    .min(self.budget + run.duration.as_nanos() as i128);
-            } else {
-                self.report.reordered_launches += 1;
-                self.budget -= run.duration.as_nanos() as i128;
-            }
-            // Idle-period replay: with no query active, every decision
-            // until the next arrival is due is RunBe for this app's next
-            // head while the guard admits BE work, so in a steady run its
-            // kernels launch here back to back — each after exactly the
-            // loop's end-of-iteration guard-level push and the decision's
-            // metric updates and prediction. Fused-plan cache stats cannot
-            // move (plain launches only).
-            let replay = self.steady
-                && was_idle
-                && self.arrivals.upcoming().is_some_and(|t| t > self.now)
-                && self.manager.best_effort_allowed();
-            if !replay || (!self.observed && self.idle_segment(be_index)) {
-                return Ok(());
-            }
-            self.push_guard_level();
-            self.m_decisions.inc();
-            self.m_budget.set(self.budget as f64);
-            let be = self.be_heads[be_index].expect("BE head exists");
-            predicted = self.profiler.predict_keyed(be.kernel(), be.fp())?;
-            #[cfg(test)]
-            IDLE_REPLAYED.with(|n| n.set(n.get() + 1));
+        let be = self.be_heads[be_index].expect("BE head exists");
+        let run = self.be_states[be_index].head_run(self.device, &mut self.credited)?;
+        let run = self.faulted(run, 1.0);
+        self.launched(&run, SpanKind::Be, predicted, Some(be));
+        self.be_retired(be_index, run.duration);
+        if !was_idle {
+            self.report.reordered_launches += 1;
+            self.budget -= run.duration.as_nanos() as i128;
+            return Ok(());
         }
+        // Free-running BE during idle replenishes the budget.
+        self.budget = self
+            .budget_cap
+            .min(self.budget + run.duration.as_nanos() as i128);
+        if self.steady {
+            self.idle_segment(be_index);
+        }
+        Ok(())
     }
 
-    /// The rest of an idle period in one step, for a run without an
-    /// observer: every BE kernel of app `i` that the per-kernel replay
-    /// would launch before the next arrival is due, found in closed form
-    /// by [`BeState::idle_segment`]. Each per-kernel update is a sum or a
-    /// last write: the clock, busy time, BE work, kernel and launch
+    /// The rest of an idle period in one step: with no query active,
+    /// every decision until the next arrival is due is RunBe for app `i`'s
+    /// next head, so every such BE kernel launches here, found in closed
+    /// form by [`BeState::idle_segment`]. Each per-kernel update is a sum
+    /// or a last write: the clock, busy time, BE work, kernel and launch
     /// counts, credited hits and the `decisions` counter add; the budget
     /// replenishes once (`min(cap, min(cap, x) + d) = min(cap, x + d)`
     /// for `d ≥ 0`); the gauge holds the budget before the last kernel;
     /// the co-runner and the head are the last kernel's and the one after
     /// it. The skipped predictions are settled, so they changed nothing.
-    /// `false`, with nothing done, when the task is not ready.
-    fn idle_segment(&mut self, i: usize) -> bool {
-        let Some(due) = self.arrivals.upcoming().map(|t| t - self.now) else {
-            return false;
+    /// The windows and the timeline get every kernel. Nothing is done
+    /// when no arrival is due later or the task is not ready: the decision
+    /// loop then goes on kernel by kernel.
+    fn idle_segment(&mut self, i: usize) {
+        let now = self.now;
+        let Some(due) = self.arrivals.upcoming().filter(|&t| t > now) else {
+            return;
         };
-        let be = &mut self.be_states[i];
-        #[cfg(test)]
-        let from = be.next;
-        let Some((kernels, before_last, elapsed)) = be.idle_segment(self.profiler, due) else {
-            return false;
+        let from = self.be_states[i].next;
+        let Some((kernels, before_last, elapsed)) =
+            self.be_states[i].idle_segment(self.profiler, due - now)
+        else {
+            return;
         };
         #[cfg(test)]
-        {
-            IDLE_SEGMENTS.with(|log| log.borrow_mut().push((from, kernels)));
-            IDLE_REPLAYED.with(|n| n.set(n.get() + kernels));
+        IDLE_SEGMENTS.with(|log| log.borrow_mut().push((from, kernels)));
+        let be = &self.be_states[i];
+        if self.observed {
+            let copies = be
+                .runs
+                .iter()
+                .map(|r| &**r.as_ref().expect("a ready task's copy"));
+            feed_spans(
+                self.windows.as_mut(),
+                self.report.timeline.as_mut(),
+                &mut row_emitter(self.sink, self.tracing),
+                now,
+                copies.cycle().skip(from).take(kernels as usize),
+                SpanKind::Be,
+                None,
+            );
         }
         let len = be.task.len();
         self.last_be = Some(&*be.task[(be.next + len - 1) % len].kernel().def);
@@ -1396,7 +1405,6 @@ impl<'a> RunState<'a> {
         self.report.busy += elapsed;
         self.report.be_work += elapsed;
         self.report.be_kernels += kernels;
-        true
     }
 
     /// The Idle arm: jump to the next arrival of any service — or the
@@ -1436,32 +1444,29 @@ impl<'a> RunState<'a> {
         }
     }
 
-    /// Every per-launch update, in order: the clock and busy time (by
-    /// `duration`, which is `run.duration`), the window span, the
-    /// [`TraceEvent::KernelRetired`] event carrying the predicted duration
-    /// next to the realized one, the guard's observation of `guard_kernel`
-    /// (none for floods and fused launches), and the timeline entry. The
-    /// busy-period replay passes the profile's contiguous duration, so a
-    /// replayed kernel reads no [`KernelRun`] unless an observer is on.
+    /// Every per-launch update a decision (or a flood) makes, in order:
+    /// the clock and busy time, the window span and timeline entry
+    /// ([`feed_spans`]), the [`TraceEvent::KernelRetired`] event carrying
+    /// the predicted duration next to the realized one, and the guard's
+    /// observation of `guard_kernel` (none for floods and fused launches).
     #[inline(always)]
     fn launched(
         &mut self,
         run: &KernelRun,
-        duration: SimTime,
         kind: SpanKind,
         predicted: SimTime,
         guard_kernel: Option<Head<'a>>,
     ) {
         let start = self.now;
-        self.now += duration;
-        self.report.busy += duration;
+        self.now += run.duration;
+        self.report.busy += run.duration;
         if self.observed {
             self.observed_launch(start, run, kind, predicted, guard_kernel);
         }
     }
 
     /// The observers' part of [`RunState::launched`], out of line so the
-    /// replays' loops stay small when no observer is on.
+    /// decision loop stays small when no observer is on.
     #[inline(never)]
     fn observed_launch(
         &mut self,
@@ -1471,20 +1476,19 @@ impl<'a> RunState<'a> {
         predicted: SimTime,
         guard_kernel: Option<Head<'a>>,
     ) {
-        let label = match kind {
-            SpanKind::Lc => "LC",
-            SpanKind::Be => "BE",
-            SpanKind::Fused => "FUSED",
-        };
-        if let Some(ws) = self.windows.as_mut() {
-            let (tc, cd) = run.pipe_utilizations();
-            let mut emit = row_emitter(self.sink, self.tracing);
-            ws.on_span(start, self.now, tc, cd, kind, &mut emit);
-        }
+        feed_spans(
+            self.windows.as_mut(),
+            self.report.timeline.as_mut(),
+            &mut row_emitter(self.sink, self.tracing),
+            start,
+            [run],
+            kind,
+            None,
+        );
         if self.tracing {
             self.sink.record(TraceEvent::KernelRetired {
                 kernel: run.name.clone(),
-                label: label.into(),
+                label: span_label(kind).into(),
                 start,
                 end: self.now,
                 tc_util: run.summary.tc_util,
@@ -1497,10 +1501,6 @@ impl<'a> RunState<'a> {
             let kernel = head.kernel().def.id().get();
             let step = g.observe_launch(kernel, predicted, run.duration);
             self.note_guard(step);
-        }
-        if let Some(tl) = self.report.timeline.as_mut() {
-            tl.advance_to(start);
-            tl.record(run, label);
         }
     }
 
@@ -1573,23 +1573,19 @@ impl<'a> RunState<'a> {
         }
     }
 
-    /// Pushes the guard ladder level into the window series when it
-    /// changed (the level is sticky in the series).
-    fn push_guard_level(&mut self) {
-        if let Some(ws) = self.windows.as_mut() {
-            let level = self.guard.map(QosGuard::level);
-            if level != self.last_guard_level {
-                self.last_guard_level = level;
-                ws.set_guard(level.map(GuardLevel::name));
-            }
-        }
-    }
-
-    /// End-of-iteration telemetry: the guard ladder level and the
-    /// fused-plan cache deltas land in the window the iteration ended in.
+    /// End-of-iteration telemetry: the guard ladder level (when it
+    /// changed; the level is sticky in the series) and the fused-plan
+    /// cache deltas land in the window the iteration ended in.
     fn end_iteration(&mut self) {
-        self.push_guard_level();
-        if let (Some(ws), Some((lh, lm))) = (self.windows.as_mut(), self.last_cache) {
+        let Some(ws) = self.windows.as_mut() else {
+            return;
+        };
+        let level = self.guard.map(QosGuard::level);
+        if level != self.last_guard_level {
+            self.last_guard_level = level;
+            ws.set_guard(level.map(GuardLevel::name));
+        }
+        if let Some((lh, lm)) = self.last_cache {
             let (h, m) = self.device.fused_cache_stats();
             if (h, m) != (lh, lm) {
                 ws.on_cache(h - lh, m - lm);
@@ -1842,44 +1838,58 @@ mod tests {
         assert!(r.be_kernels >= 4, "flood kernels must execute");
     }
 
-    /// One LC-only steady-state run: large gaps so most queries are
-    /// alone in flight.
-    fn steady_run(device: &Arc<Device>, fast: bool) -> RunReport {
-        ColocationRun::new(device, &config(), &[tiny_lc()], &[])
+    /// Everything a report carries, as text.
+    fn text(r: &RunReport) -> String {
+        format!("{r:?}\n{}", r.prometheus_text())
+    }
+
+    /// One windowed LC-only steady-state run, guarded or not: large gaps
+    /// so most queries are alone in flight. Its busy-period segments too.
+    fn steady_run(
+        device: &Arc<Device>,
+        fast: bool,
+        guarded: bool,
+    ) -> (Vec<(usize, usize)>, RunReport) {
+        BUSY_SEGMENTS.with(|log| log.borrow_mut().clear());
+        let mut run = ColocationRun::new(device, &config(), &[tiny_lc()], &[])
             .unwrap()
             .at(SimTime::from_micros(900))
-            .guarded(GuardConfig::default())
             .windowed(SimTime::from_millis(1))
-            .steady_fast_path(fast)
-            .run()
-            .unwrap()
+            .steady_fast_path(fast);
+        if guarded {
+            run = run.guarded(GuardConfig::default());
+        }
+        let report = run.run().unwrap();
+        (BUSY_SEGMENTS.with(|log| log.take()), report)
     }
 
     #[test]
     fn fast_path_report_is_bit_identical_to_slow_path() {
         let device = device();
-        let fast = steady_run(&device, true);
+        let (segments, fast) = steady_run(&device, true, false);
         device.reset_stats();
-        let slow = steady_run(&device, false);
+        let (none, slow) = steady_run(&device, false, false);
+        assert!(none.is_empty(), "the decision loop replayed");
+        assert!(!segments.is_empty(), "a windowed run logged no segment");
         // Prove the fast run actually replayed from profiles: the slow
         // run probes the device cache for every kernel of every query,
         // the fast run only for warm-up and profile building.
         let (slow_hits, _) = device.cache_stats();
         device.reset_stats();
-        let again = steady_run(&device, true);
+        let (_, again) = steady_run(&device, true, false);
         let (fast_hits, _) = device.cache_stats();
         assert!(
             fast_hits < slow_hits / 2,
             "fast path did not engage: {fast_hits} vs {slow_hits} cache hits"
         );
-        assert_eq!(again.wall, slow.wall);
-        assert_eq!(fast.query_latencies(), slow.query_latencies());
-        assert_eq!(fast.wall, slow.wall);
-        assert_eq!(fast.qos_violations(), slow.qos_violations());
-        assert_eq!(fast.guard_steps, slow.guard_steps);
-        assert_eq!(fast.guard_level, slow.guard_level);
-        assert_eq!(fast.windows, slow.windows, "window series diverged");
-        assert_eq!(fast.violation_log.len(), slow.violation_log.len());
+        assert_eq!(text(&again), text(&slow));
+        assert_eq!(text(&fast), text(&slow));
+        assert!(!fast.windows.is_empty());
+        // A guard turns the replays off: the decision loop's report.
+        let (guarded_segments, guarded) = steady_run(&device, true, true);
+        let (_, decided) = steady_run(&device, false, true);
+        assert!(guarded_segments.is_empty(), "a guarded run replayed");
+        assert_eq!(text(&guarded), text(&decided));
     }
 
     #[test]
@@ -1919,38 +1929,46 @@ mod tests {
     #[test]
     fn idle_replay_serves_be_kernels() {
         // Gaps of several solo query times leave idle periods that the
-        // free-running BE app fills; the tight target makes queries that
-        // queue behind BE work violate, so the guard steps down its ladder
-        // and stops admitting BE work mid-period.
+        // free-running BE app fills; windows and the timeline are on. The
+        // tight target makes queries that queue behind BE work violate,
+        // so under a guard the guard steps down its ladder and stops
+        // admitting BE work mid-period.
         let device = device();
         let profiler = KernelProfiler::new(Arc::clone(&device));
         let solo = crate::server::solo_query_duration(&profiler, &tiny_lc()).unwrap();
         let mut cfg = config().with_timeline();
         cfg.qos_target = solo.mul_f64(1.1);
-        let run = |fast: bool| {
+        let run = |fast: bool, guarded: bool| {
             device.reset_stats();
-            let before = IDLE_REPLAYED.with(std::cell::Cell::get);
-            let r = ColocationRun::new(&device, &cfg, &[tiny_lc()], &[tiny_be()])
+            BUSY_SEGMENTS.with(|log| log.borrow_mut().clear());
+            IDLE_SEGMENTS.with(|log| log.borrow_mut().clear());
+            let mut run = ColocationRun::new(&device, &cfg, &[tiny_lc()], &[tiny_be()])
                 .unwrap()
                 .at(solo.mul_f64(3.0))
-                .guarded(GuardConfig::default())
                 .windowed(SimTime::from_millis(1))
-                .steady_fast_path(fast)
-                .run()
-                .unwrap();
-            let replayed = IDLE_REPLAYED.with(std::cell::Cell::get) - before;
-            (replayed, device.cache_stats(), r)
+                .steady_fast_path(fast);
+            if guarded {
+                run = run.guarded(GuardConfig::default());
+            }
+            let r = run.run().unwrap();
+            let idle: u64 = IDLE_SEGMENTS
+                .with(|log| log.take())
+                .iter()
+                .map(|s| s.1)
+                .sum();
+            let busy = BUSY_SEGMENTS.with(|log| log.take()).len();
+            (idle, busy, device.cache_stats(), r)
         };
-        run(false); // warm the device: both runs below read it warm
-        let (replayed, fast_probes, fast) = run(true);
-        let (none, slow_probes, slow) = run(false);
-        assert_eq!(none, 0, "the decision loop replayed");
+        run(false, false); // warm the device: every run below reads it warm
+        let (replayed, busy, fast_probes, fast) = run(true, false);
+        let (none, no_busy, slow_probes, slow) = run(false, false);
+        assert_eq!((none, no_busy), (0, 0), "the decision loop replayed");
         assert!(
             replayed * 2 > fast.be_kernels,
-            "idle replay served {replayed} of {} BE kernels",
+            "idle segments served {replayed} of {} BE kernels",
             fast.be_kernels
         );
-        assert!(fast.guard_steps > 0, "the guard never stepped");
+        assert!(busy > 0, "no busy-period segment");
         // Every launch reads as a probe of the warm cache: each LC kernel
         // (alone or fused), each BE kernel and each fused launch.
         let (hits, misses) = fast_probes;
@@ -1960,8 +1978,15 @@ mod tests {
             "{hits} hits for {launches} launches"
         );
         assert_eq!(fast_probes, slow_probes, "device counters diverged");
-        let text = |r: &RunReport| format!("{r:?}\n{}", r.prometheus_text());
         assert_eq!(text(&fast), text(&slow));
+        // A guard turns the replays off: no segment, the decision loop's
+        // report, with the guard stepping down mid-period.
+        let (idle, busy, guarded_probes, guarded) = run(true, true);
+        let (_, _, decided_probes, decided) = run(false, true);
+        assert_eq!((idle, busy), (0, 0), "a guarded run replayed");
+        assert!(guarded.guard_steps > 0, "the guard never stepped");
+        assert_eq!(guarded_probes, decided_probes, "device counters diverged");
+        assert_eq!(text(&guarded), text(&decided));
     }
 
     #[test]
@@ -1999,7 +2024,6 @@ mod tests {
             segments,
             [(0, 6), (0, 2), (2, 6), (0, 6), (0, 4), (4, 6), (0, 6)]
         );
-        let text = |r: &RunReport| format!("{r:?}\n{}", r.prometheus_text());
         assert_eq!(text(&fast), text(&slow));
         let latencies = fast.query_latencies();
         assert_eq!(latencies[..2], [solo, solo * 2]);
@@ -2051,7 +2075,6 @@ mod tests {
         let (segments, fast_counters, fast) = run(true);
         let (none, slow_counters, slow) = run(false);
         assert!(none.is_empty(), "the decision loop replayed");
-        let text = |r: &RunReport| format!("{r:?}\n{}", r.prometheus_text());
         assert_eq!(text(&fast), text(&slow));
         assert_eq!(fast_counters, slow_counters, "device counters diverged");
         (segments, fast)
@@ -2155,14 +2178,17 @@ mod tests {
         // Baymax with a target below the solo query time plus the safety
         // margin never reorders or fuses, so BE heads move only in idle
         // periods. The first idle period ends exactly after one iteration
-        // of the task, which it runs kernel by kernel, taking the copies.
-        // The task's last two kernels share a definition, so the last one's
-        // prediction is settled by the model the second fits before its
-        // first launch: only the missing copy keeps that kernel in the loop.
+        // of the task, which the decision loop runs kernel by kernel,
+        // taking the copies. The task's last two kernels share a
+        // definition, so the last one's prediction is settled by the model
+        // the second fits before its first launch: only the missing copy
+        // keeps that kernel in the loop.
         // Each later period starts with the decided kernel at the head
         // position, then replays as one segment to an arrival due: at a
         // whole-iteration boundary, 1 ns past a kernel boundary, inside the
         // first kernel, and 1 ns past three iterations from mid-task.
+        // Fine windows and the timeline leave the segments as they are,
+        // and receive each segment's kernels from its old head on.
         let measuring = device();
         let lc = tiny_lc();
         let solo = QueryProfile::measure(&measuring, &lc).unwrap().solo();
@@ -2194,11 +2220,15 @@ mod tests {
         end += at(4) + at(5) + solo;
         // Arrival 4, three iterations and 1 ns after position 6's kernel.
         stream.push(end + at(6) + cycle * 3 + ns(1));
-        let run = |fast: bool| {
+        let run = |fast: bool, observed: bool| {
             let device = device();
             IDLE_SEGMENTS.with(|log| log.borrow_mut().clear());
-            let before = IDLE_REPLAYED.with(std::cell::Cell::get);
-            let r = ColocationRun::new(
+            let cfg = if observed {
+                cfg.clone().with_timeline()
+            } else {
+                cfg.clone()
+            };
+            let mut run = ColocationRun::new(
                 &device,
                 &cfg,
                 std::slice::from_ref(&lc),
@@ -2208,32 +2238,35 @@ mod tests {
             .policy(Policy::Baymax)
             .at(SimTime::from_millis(1))
             .arrivals(ArrivalSpec::Replay(vec![stream.clone()]))
-            .steady_fast_path(fast)
-            .run()
-            .unwrap();
-            let replayed = IDLE_REPLAYED.with(std::cell::Cell::get) - before;
+            .steady_fast_path(fast);
+            if observed {
+                run = run.windowed(SimTime::from_micros(10));
+            }
+            let r = run.run().unwrap();
             let counters = (device.cache_stats(), device.fused_cache_stats());
-            (IDLE_SEGMENTS.with(|log| log.take()), replayed, counters, r)
+            (IDLE_SEGMENTS.with(|log| log.take()), counters, r)
         };
-        let (segments, replayed, fast_counters, fast) = run(true);
-        let (none, _, slow_counters, slow) = run(false);
-        assert!(none.is_empty(), "the decision loop replayed");
-        let l = len as u64;
-        assert_eq!(
-            segments,
-            [(1, 2 * l), (2, 2), (5 % len, 1), (7 % len, 3 * l + 1)]
-        );
-        // The first period replayed all but its decided kernel one by one.
-        let segmented: u64 = segments.iter().map(|&(_, m)| m).sum();
-        assert_eq!(replayed, l - 1 + segmented);
-        assert_eq!(fast.be_kernels, l + 4 + segmented);
-        let latencies = fast.query_latencies();
-        assert_eq!(latencies[..2], [solo, solo]);
-        assert_eq!(latencies[2], at(3) - ns(1) + solo);
-        assert_eq!(latencies[3], at(5) - ns(1) + solo);
-        let text = |r: &RunReport| format!("{r:?}\n{}", r.prometheus_text());
-        assert_eq!(text(&fast), text(&slow));
-        assert_eq!(fast_counters, slow_counters, "device counters diverged");
+        for observed in [false, true] {
+            let (segments, fast_counters, fast) = run(true, observed);
+            let (none, slow_counters, slow) = run(false, observed);
+            assert!(none.is_empty(), "the decision loop replayed");
+            let l = len as u64;
+            assert_eq!(
+                segments,
+                [(1, 2 * l), (2, 2), (5 % len, 1), (7 % len, 3 * l + 1)]
+            );
+            // The first period's kernels and each later period's decided
+            // one went through the decision loop.
+            let segmented: u64 = segments.iter().map(|&(_, m)| m).sum();
+            assert_eq!(fast.be_kernels, l + 4 + segmented);
+            let latencies = fast.query_latencies();
+            assert_eq!(latencies[..2], [solo, solo]);
+            assert_eq!(latencies[2], at(3) - ns(1) + solo);
+            assert_eq!(latencies[3], at(5) - ns(1) + solo);
+            assert_eq!(text(&fast), text(&slow));
+            assert_eq!(fast_counters, slow_counters, "device counters diverged");
+            assert_eq!(observed, !fast.windows.is_empty());
+        }
     }
 
     #[test]

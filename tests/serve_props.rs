@@ -109,10 +109,11 @@ proptest! {
     /// telemetry, guard trajectory and audit log, violation attribution
     /// with queue depths, metric counters — for a lone service at light
     /// load, and for two services whose gaps sit below the solo query
-    /// time, so busy periods hold several queued queries. Tracing
-    /// force-disables the replay, so the traced event stream is the
-    /// decision loop's by construction — asserted via the traced run's
-    /// report numbers.
+    /// time, so busy periods hold several queued queries. Each run draws
+    /// the guard on or off: without it, the windows are fed by segment;
+    /// with it, both runs decide every kernel. Tracing force-disables the
+    /// replay, so the traced event stream is the decision loop's by
+    /// construction — asserted via the traced run's report numbers.
     #[test]
     fn fast_path_reports_are_bit_identical(
         seed in 0u64..1000,
@@ -120,6 +121,7 @@ proptest! {
         gap_us in 400u64..2000,
         queued_gap in 0.3f64..0.95,
         guarded in 0u8..2,
+        queued_guarded in 0u8..2,
     ) {
         let guarded = guarded == 1;
         let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
@@ -171,14 +173,15 @@ proptest! {
         let mut tight = config.clone();
         tight.qos_target = (solo[0] + solo[1]).mul_f64(2.0);
         let queued = |fast: bool| {
-            ColocationRun::new(&device, &tight, &[lc.clone(), other.clone()], &[])
+            let mut r = ColocationRun::new(&device, &tight, &[lc.clone(), other.clone()], &[])
                 .expect("build")
                 .with_loads(&loads)
                 .windowed(tacker_kernel::SimTime::from_micros(500))
-                .guarded(GuardConfig::default())
-                .steady_fast_path(fast)
-                .run()
-                .expect("run")
+                .steady_fast_path(fast);
+            if queued_guarded == 1 {
+                r = r.guarded(GuardConfig::default());
+            }
+            r.run().expect("run")
         };
         let fast = queued(true);
         let slow = queued(false);
@@ -233,9 +236,11 @@ proptest! {
     /// The idle-period replay is bit-identical to the full decision loop
     /// with BE work admitted: Tacker or Baymax, one or two BE apps, gaps
     /// from below to well above the solo query time (so idle periods
-    /// alternate with busy ones that fuse and reorder), windows, guard
-    /// and timeline on. A tight QoS target drives violations, so the
-    /// guard walks its ladder and stops admitting BE work mid-period.
+    /// alternate with busy ones that fuse and reorder), windows and
+    /// timeline on, the guard drawn on or off. Without the guard the idle
+    /// and busy-period segments feed the windows and the timeline; with
+    /// it, a tight QoS target drives violations, so the guard walks its
+    /// ladder and stops admitting BE work mid-period.
     #[test]
     fn idle_replay_reports_are_bit_identical(
         seed in 0u64..1000,
@@ -245,6 +250,7 @@ proptest! {
         second in 0usize..4,
         baymax in 0u8..2,
         tight in 0u8..2,
+        guarded in 0u8..2,
     ) {
         let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
         let lc = lc_service(gemm_m);
@@ -263,15 +269,16 @@ proptest! {
             config.qos_target = solo.mul_f64(1.5);
         }
         let build = |fast: bool| {
-            ColocationRun::new(&device, &config, std::slice::from_ref(&lc), &bes)
+            let mut r = ColocationRun::new(&device, &config, std::slice::from_ref(&lc), &bes)
                 .expect("build")
                 .policy(policy)
                 .at(solo.mul_f64(gap_ratio))
                 .windowed(tacker_kernel::SimTime::from_micros(500))
-                .guarded(GuardConfig::default())
-                .steady_fast_path(fast)
-                .run()
-                .expect("run")
+                .steady_fast_path(fast);
+            if guarded == 1 {
+                r = r.guarded(GuardConfig::default());
+            }
+            r.run().expect("run")
         };
         // Windows count fused-cache hits and misses, so both compared
         // runs read a device the first run warmed.

@@ -485,13 +485,10 @@ fn faulted_drill_run_bytes_are_pinned() {
     );
 }
 
-/// Untraced zero-fault runs with windows and the timeline on, pinned byte
-/// for byte: an LC-only run at a queueing load (the busy-period replay
-/// serves it) and a Tacker run with BE work and idle gaps (the idle-period
-/// replay serves its idle periods). The two replays never engage in one
-/// run, so the digest covers both runs.
-#[test]
-fn replayed_run_bytes_are_pinned() {
+/// The digest of two untraced zero-fault runs with windows and the
+/// timeline on, under the guard or without it: an LC-only run at a
+/// queueing load and a Tacker run with BE work and idle gaps.
+fn replayed_runs_digest(guarded: bool) -> u64 {
     let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
     let lc = drill_lc();
     let solo = drill_solo();
@@ -501,14 +498,15 @@ fn replayed_run_bytes_are_pinned() {
         .with_timeline();
     config.qos_target = solo.mul_f64(3.0);
     let run = |bes: &[BeApp], gap: f64| {
-        ColocationRun::new(&device, &config, std::slice::from_ref(&lc), bes)
+        let mut run = ColocationRun::new(&device, &config, std::slice::from_ref(&lc), bes)
             .expect("run")
             .policy(Policy::Tacker)
             .at(solo.mul_f64(gap))
-            .guarded(GuardConfig::default())
-            .windowed(SimTime::from_micros(500))
-            .run()
-            .expect("run")
+            .windowed(SimTime::from_micros(500));
+        if guarded {
+            run = run.guarded(GuardConfig::default());
+        }
+        run.run().expect("run")
     };
     let busy = run(&[], 0.8);
     let idle = run(&drill_be(), 3.0);
@@ -517,9 +515,29 @@ fn replayed_run_bytes_are_pinned() {
     let mut hash = StableHasher::new();
     run_digest(&mut hash, &busy, &[]);
     run_digest(&mut hash, &idle, &[]);
+    hash.finish()
+}
+
+/// [`replayed_runs_digest`] under the guard, pinned byte for byte. A
+/// guard turns the replays off, so both runs decide every kernel.
+#[test]
+fn replayed_run_bytes_are_pinned() {
     assert_eq!(
-        hash.finish(),
+        replayed_runs_digest(true),
         3_406_979_854_237_126_045,
         "replayed runs drifted"
+    );
+}
+
+/// [`replayed_runs_digest`] without the guard, pinned byte for byte: the
+/// busy-period segments serve the LC-only run, and the idle segments the
+/// Tacker run's idle periods, while feeding the windows and the timeline
+/// every kernel the decision loop would.
+#[test]
+fn windowed_segment_run_bytes_are_pinned() {
+    assert_eq!(
+        replayed_runs_digest(false),
+        9_164_469_313_518_040_009,
+        "windowed segment runs drifted"
     );
 }
