@@ -41,7 +41,7 @@ fn setup(
         .collect();
     let hr = SimTime::from_millis(20);
     manager
-        .decide(Some(Head::new(&lc)), hr, hr, &heads(&be_heads), false)
+        .decide(&[Head::new(&lc)], hr, hr, &heads(&be_heads))
         .expect("warmup");
     (manager, lc, be_heads)
 }
@@ -58,7 +58,7 @@ fn bench_decisions(c: &mut Criterion) {
     c.bench_function("online_fuse_decision_50_pairs", |b| {
         b.iter(|| {
             tacker
-                .decide(Some(lc_head), hr, hr, &be_heads, false)
+                .decide(&[lc_head], hr, hr, &be_heads)
                 .expect("decide")
         })
     });
@@ -67,7 +67,7 @@ fn bench_decisions(c: &mut Criterion) {
     c.bench_function("static_schedule_decision_50_kernels", |b| {
         b.iter(|| {
             baymax
-                .decide(Some(lc_head), hr, hr, &be_heads, false)
+                .decide(&[lc_head], hr, hr, &be_heads)
                 .expect("decide")
         })
     });
@@ -85,8 +85,8 @@ fn bench_decisions(c: &mut Criterion) {
     let be = Benchmark::Cutcp.task()[0].clone();
     let (lc_head, be_heads) = (Head::new(&lc), [Some(Head::new(&be))]);
     // The first call profiles and prepares the pair.
-    let warm = (0..2)
-        .map(|_| tacker.decide(Some(lc_head), hr, hr, &be_heads, false))
+    let (_, warm) = (0..2)
+        .map(|_| tacker.decide(&[lc_head], hr, hr, &be_heads))
         .last()
         .expect("two warm-up calls")
         .expect("warmup");
@@ -97,7 +97,7 @@ fn bench_decisions(c: &mut Criterion) {
     c.bench_function("decide_accepted_fusion_warm", |b| {
         b.iter(|| {
             tacker
-                .decide(Some(lc_head), hr, hr, &be_heads, false)
+                .decide(&[lc_head], hr, hr, &be_heads)
                 .expect("decide")
         })
     });

@@ -43,7 +43,7 @@ fn main() {
     let manager = KernelManager::new(Arc::clone(&profiler), Arc::clone(&library), Policy::Tacker);
     let headroom = SimTime::from_millis(20);
     manager
-        .decide(Some(lc_head), headroom, headroom, &heads, false)
+        .decide(&[lc_head], headroom, headroom, &heads)
         .expect("warmup");
 
     println!("# §VIII-I overheads (wall-clock of this implementation)");
@@ -63,7 +63,7 @@ fn main() {
         20,
         Box::new(|| {
             let _ = manager
-                .decide(Some(lc_head), headroom, headroom, &heads, false)
+                .decide(&[lc_head], headroom, headroom, &heads)
                 .expect("decide");
         }),
     );
@@ -75,7 +75,7 @@ fn main() {
         20,
         Box::new(|| {
             let _ = baymax
-                .decide(Some(lc_head), headroom, headroom, &heads, false)
+                .decide(&[lc_head], headroom, headroom, &heads)
                 .expect("decide");
         }),
     );

@@ -13,9 +13,12 @@
 //!   outright (Baymax's behaviour);
 //! * **LC kernel** — otherwise run the LC kernel directly.
 //!
-//! When multiple LC queries are active, earlier queries complete first and
-//! only the last-arrived one participates in fusion (§VII-B-2); the server
-//! enforces this by passing `multiple_lc = true`.
+//! When multiple LC queries are active, the oldest runs first, and the
+//! Equation 9 headroom the server passes already reserves the remaining
+//! time of every active query (§VII-B-2's accounting), so fusion stays on.
+//!
+//! One call may decide a stretch of the front query's kernels; see
+//! [`KernelManager::decide`] for where its walk stops.
 //!
 //! Heads arrive resolved ([`Head`]: a kernel plus its launch fingerprint,
 //! hashed once per run), and the manager memoizes what never changes for
@@ -324,84 +327,6 @@ impl KernelManager {
         }
     }
 
-    /// A head's prediction when it is settled: what [`KernelManager::predict`]
-    /// answers, read without a side effect, or `None` where that call would
-    /// first fit a model (see [`KernelProfiler::peek_keyed`]).
-    fn peek(&self, head: Head<'_>) -> Option<SimTime> {
-        match head.profiled {
-            Some(duration) if !self.profiler.history_bypassed() => Some(duration),
-            _ => self.profiler.peek_keyed(head.wk, head.fp),
-        }
-    }
-
-    /// How many of `lc_heads`, decided one after another, provably end in
-    /// [`Decision::RunLc`]: the length of the prefix for which
-    /// [`KernelManager::decide`] with these headrooms and BE heads (which
-    /// the caller guarantees do not change in between, nor the guard)
-    /// would launch the LC head and change nothing else. Read only. The
-    /// proof:
-    ///
-    /// * reordering is off, or every BE head's settled prediction is at
-    ///   least the reorder headroom, so none fits it;
-    /// * fusion is off, or every (LC head, BE head) pair is resolved in
-    ///   the pair memo and cannot fuse now ([`KernelManager::cannot_fuse`]).
-    ///
-    /// It stops before a head whose decision could resolve a pair (which
-    /// may prepare it in the library) or fit a model.
-    pub(crate) fn run_lc_stretch(
-        &self,
-        lc_heads: &[Head<'_>],
-        headroom: SimTime,
-        reorder_headroom: SimTime,
-        be_heads: &[Option<Head<'_>>],
-    ) -> usize {
-        let margin = self.guard.as_ref().map_or(SimTime::ZERO, |g| g.margin());
-        let headroom = headroom.saturating_sub(margin);
-        let reorder_headroom = reorder_headroom.saturating_sub(margin);
-        let bes = be_heads.iter().flatten();
-        let may_fit = |be: Head<'_>| self.peek(be).is_none_or(|p| p < reorder_headroom);
-        if self.reorder_allowed() && bes.clone().any(|&be| may_fit(be)) {
-            return 0;
-        }
-        let slots = self
-            .fusion_allowed()
-            .then(|| self.pairs.lock().expect("pair memo poisoned"));
-        lc_heads
-            .iter()
-            .take_while(|&&lc| {
-                self.peek(lc).is_some()
-                    && slots.as_ref().is_none_or(|slots| {
-                        bes.clone()
-                            .all(|&be| self.cannot_fuse(slots, lc, be, headroom))
-                    })
-            })
-            .count()
-    }
-
-    /// Whether the pair `(lc, be)` is resolved and cannot fuse under
-    /// `headroom`, read without a side effect: it has no orientation, is
-    /// not prepared, is blacklisted, or `headroom` is zero (Equation 8's
-    /// extra time is never below zero) while the BE head's prediction,
-    /// which [`KernelManager::try_fuse`] reads first, is settled (the
-    /// caller checks the LC head's). An unresolved pair may fuse: its
-    /// first resolution prepares it.
-    fn cannot_fuse(
-        &self,
-        slots: &PairSlots,
-        lc: Head<'_>,
-        be: Head<'_>,
-        headroom: SimTime,
-    ) -> bool {
-        match slots.get(&(lc.fp, be.fp)) {
-            None => false,
-            Some(PairSlot::NoOrientation | PairSlot::NotPrepared) => true,
-            Some(PairSlot::Prepared { entry, .. }) => {
-                !entry.lock().expect("entry poisoned").eligible()
-                    || (headroom == SimTime::ZERO && self.peek(be).is_some())
-            }
-        }
-    }
-
     /// Sets the device wall-clock instant stamped onto subsequent decision
     /// events.
     pub fn set_now(&self, now: SimTime) {
@@ -535,64 +460,88 @@ impl KernelManager {
         )))
     }
 
-    /// Makes a scheduling decision.
+    /// Makes scheduling decisions for a stretch of LC heads.
     ///
-    /// `lc_head` is the pending kernel of the query being served (if any),
-    /// `headroom` the current QoS headroom available to fusion,
-    /// `reorder_headroom` the (budget-capped) headroom available to whole
-    /// reordered BE kernels, `be_heads` the ready head kernel of each BE
-    /// application, and `multiple_lc` whether more than one LC query is
-    /// active (which disables fusion per §VII-B-2).
+    /// `lc_heads` are the pending kernels of the query being served, in
+    /// order (empty when no query is active), `headroom` the current QoS
+    /// headroom available to fusion, `reorder_headroom` the
+    /// (budget-capped) headroom available to whole reordered BE kernels,
+    /// and `be_heads` the ready head kernel of each BE application.
+    ///
+    /// Decides the heads one after another, each exactly as a call with
+    /// that head alone would, and returns `(n, decision)`: heads `..n`
+    /// were decided [`Decision::RunLc`] and `decision` is head `n`'s. The
+    /// walk stops at the first decision that is not `RunLc`, at the last
+    /// head, or right after a decision that resolved a new pair in the
+    /// memo. Deciding more than one head is exact only when the headrooms,
+    /// the BE heads and the guard do not move across `RunLc` launches,
+    /// which the caller guarantees.
     ///
     /// # Errors
     ///
     /// Propagates profiling/fusion errors.
     pub fn decide(
         &self,
-        lc_head: Option<Head<'_>>,
+        lc_heads: &[Head<'_>],
         headroom: SimTime,
         reorder_headroom: SimTime,
         be_heads: &[Option<Head<'_>>],
-        multiple_lc: bool,
-    ) -> Result<Decision, TackerError> {
+    ) -> Result<(usize, Decision), TackerError> {
         // The guard's inflated margin shrinks the headroom the decision
         // sees, absorbing systematic under-prediction.
         let margin = self.guard.as_ref().map_or(SimTime::ZERO, |g| g.margin());
         let headroom = headroom.saturating_sub(margin);
         let reorder_headroom = reorder_headroom.saturating_sub(margin);
-        let (decision, gain) =
-            self.decide_inner(lc_head, headroom, reorder_headroom, be_heads, multiple_lc)?;
-        if self.tracing {
-            self.emit_decision(
-                &decision,
-                gain,
+        let mut slots = (!lc_heads.is_empty() && self.fusion_allowed())
+            .then(|| self.pairs.lock().expect("pair memo poisoned"));
+        let mut n = 0;
+        loop {
+            let lc_head = lc_heads.get(n).copied();
+            let memo = slots.as_ref().map_or(0, |s| s.len());
+            let (decision, gain) = self.decide_inner(
                 lc_head,
                 headroom,
                 reorder_headroom,
                 be_heads,
-            );
+                slots.as_deref_mut(),
+            )?;
+            if self.tracing {
+                self.emit_decision(
+                    &decision,
+                    gain,
+                    lc_head,
+                    headroom,
+                    reorder_headroom,
+                    be_heads,
+                );
+            }
+            let resolved = slots.as_ref().is_some_and(|s| s.len() > memo);
+            if !matches!(decision, Decision::RunLc { .. }) || n + 1 >= lc_heads.len() || resolved {
+                return Ok((n, decision));
+            }
+            n += 1;
         }
-        Ok(decision)
     }
 
+    /// One head's decision; `slots` is the locked pair memo when fusion
+    /// is allowed.
     fn decide_inner(
         &self,
         lc_head: Option<Head<'_>>,
         headroom: SimTime,
         reorder_headroom: SimTime,
         be_heads: &[Option<Head<'_>>],
-        multiple_lc: bool,
+        slots: Option<&mut PairSlots>,
     ) -> Result<(Decision, Option<SimTime>), TackerError> {
         match lc_head {
             Some(lc) => {
                 let lc_predicted = self.predict(lc)?;
                 // 1. Fusion with the highest-gain BE partner.
-                if self.fusion_allowed() && !multiple_lc {
-                    let mut slots = self.pairs.lock().expect("pair memo poisoned");
+                if let Some(slots) = slots {
                     let mut best: Option<(Decision, SimTime)> = None;
                     for (i, be) in be_heads.iter().enumerate() {
                         let Some(be) = *be else { continue };
-                        if let Some((d, gain)) = self.try_fuse(&mut slots, lc, i, be, headroom)? {
+                        if let Some((d, gain)) = self.try_fuse(slots, lc, i, be, headroom)? {
                             if best.as_ref().is_none_or(|(_, g)| gain > *g) {
                                 best = Some((d, gain));
                             }
@@ -767,13 +716,13 @@ mod tests {
         let be = Benchmark::Cutcp.task()[0].clone();
         let d = m
             .decide(
-                Some(Head::new(&lc)),
+                &[Head::new(&lc)],
                 SimTime::from_millis(20),
                 SimTime::from_millis(20),
                 &[Some(Head::new(&be))],
-                false,
             )
-            .unwrap();
+            .unwrap()
+            .1;
         assert!(matches!(d, Decision::RunFused { .. }), "got {d:?}");
     }
 
@@ -786,13 +735,13 @@ mod tests {
         // model predicts the fused kernel costs (almost) nothing extra.
         let d = m
             .decide(
-                Some(Head::new(&lc)),
+                &[Head::new(&lc)],
                 SimTime::ZERO,
                 SimTime::ZERO,
                 &[Some(Head::new(&be))],
-                false,
             )
-            .unwrap();
+            .unwrap()
+            .1;
         assert!(matches!(d, Decision::RunLc { .. }), "got {d:?}");
     }
 
@@ -803,13 +752,13 @@ mod tests {
         let be = Benchmark::Cutcp.task()[0].clone();
         let d = m
             .decide(
-                Some(Head::new(&lc)),
+                &[Head::new(&lc)],
                 SimTime::from_millis(20),
                 SimTime::from_millis(20),
                 &[Some(Head::new(&be))],
-                false,
             )
-            .unwrap();
+            .unwrap()
+            .1;
         assert!(matches!(d, Decision::RunBe { .. }), "got {d:?}");
     }
 
@@ -822,36 +771,13 @@ mod tests {
         let lc_cd = Benchmark::Mriq.task()[0].clone();
         let hr = SimTime::from_millis(20);
         let d = m
-            .decide(
-                Some(Head::new(&lc_cd)),
-                hr,
-                hr,
-                &[Some(Head::new(&be))],
-                false,
-            )
-            .unwrap();
+            .decide(&[Head::new(&lc_cd)], hr, hr, &[Some(Head::new(&be))])
+            .unwrap()
+            .1;
         // CD LC head + CD BE head: fusion impossible, reorder disabled →
         // the LC kernel runs directly.
         assert!(matches!(d, Decision::RunLc { .. }), "got {d:?}");
         let _ = lc;
-    }
-
-    #[test]
-    fn multiple_lc_queries_disable_fusion() {
-        let m = manager(Policy::Tacker);
-        let lc = tc_kernel();
-        let be = Benchmark::Cutcp.task()[0].clone();
-        let d = m
-            .decide(
-                Some(Head::new(&lc)),
-                SimTime::from_millis(20),
-                SimTime::from_millis(20),
-                &[Some(Head::new(&be))],
-                true,
-            )
-            .unwrap();
-        // Reorder may still happen; fusion must not.
-        assert!(!matches!(d, Decision::RunFused { .. }), "got {d:?}");
     }
 
     #[test]
@@ -872,13 +798,13 @@ mod tests {
         let be = Benchmark::Cutcp.task()[0].clone();
         let d = m
             .decide(
-                Some(Head::new(&lc)),
+                &[Head::new(&lc)],
                 SimTime::from_millis(20),
                 SimTime::from_millis(20),
                 &[Some(Head::new(&be))],
-                false,
             )
-            .unwrap();
+            .unwrap()
+            .1;
         // Tacker would fuse here (see tacker_fuses_when_headroom_allows);
         // the degraded guard forbids it.
         assert!(!matches!(d, Decision::RunFused { .. }), "got {d:?}");
@@ -888,8 +814,9 @@ mod tests {
     fn idle_when_nothing_to_do() {
         let m = manager(Policy::Tacker);
         let d = m
-            .decide(None, SimTime::ZERO, SimTime::ZERO, &[None, None], false)
-            .unwrap();
+            .decide(&[], SimTime::ZERO, SimTime::ZERO, &[None, None])
+            .unwrap()
+            .1;
         assert!(matches!(d, Decision::Idle));
     }
 
@@ -898,14 +825,9 @@ mod tests {
         let m = manager(Policy::Tacker);
         let be = Benchmark::Lbm.task()[0].clone();
         let d = m
-            .decide(
-                None,
-                SimTime::ZERO,
-                SimTime::ZERO,
-                &[Some(Head::new(&be))],
-                false,
-            )
-            .unwrap();
+            .decide(&[], SimTime::ZERO, SimTime::ZERO, &[Some(Head::new(&be))])
+            .unwrap()
+            .1;
         assert!(matches!(d, Decision::RunBe { be_index: 0, .. }));
     }
 
@@ -914,14 +836,9 @@ mod tests {
         let m = manager(Policy::LcOnly);
         let be = Benchmark::Lbm.task()[0].clone();
         let d = m
-            .decide(
-                None,
-                SimTime::ZERO,
-                SimTime::ZERO,
-                &[Some(Head::new(&be))],
-                false,
-            )
-            .unwrap();
+            .decide(&[], SimTime::ZERO, SimTime::ZERO, &[Some(Head::new(&be))])
+            .unwrap()
+            .1;
         assert!(matches!(d, Decision::Idle));
     }
 }

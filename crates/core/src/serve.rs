@@ -789,8 +789,8 @@ pub(crate) fn run_engine(
     // computing) and no guard (its level and margin may move at every
     // launch). Without admissible BE work, the manager's only decision
     // while a query is active is RunLc for the front query's next kernel;
-    // with it, the busy-period replay proves RunLc for a stretch. While
-    // no query is active the only decision is RunBe for the first BE head
+    // with it, one manager call decides a stretch of them. While no query
+    // is active the only decision is RunBe for the first BE head
     // (idle-period replay, in the RunBe arm).
     let steady = opts.fast_path && !tracing && faults.is_zero() && guard.is_none();
 
@@ -1024,8 +1024,10 @@ impl<'a> RunState<'a> {
             if self.active.is_empty() && self.arrivals.upcoming().is_none() {
                 return Ok(());
             }
-            let replayed = self.steady && !self.active.is_empty() && self.busy_replay();
-            if !replayed && !self.decide()? {
+            let lc_only = self.be_heads.iter().all(Option::is_none);
+            if self.steady && lc_only && !self.active.is_empty() {
+                self.busy_replay();
+            } else if !self.decide()? {
                 return Ok(());
             }
             self.end_iteration();
@@ -1096,60 +1098,46 @@ impl<'a> RunState<'a> {
         }
     }
 
-    /// Busy-period replay: the manager's decision for the front query's
-    /// next kernels is RunLc, predicted at the profiled duration, so they
-    /// replay from the profile until the query retires or the next arrival
-    /// is due. One rule, [`QueryProfile::replay_end`], finds where the
-    /// segment stops; the loop then admits and retires exactly where the
-    /// decision loop would. Without BE heads RunLc is the only decision.
-    /// With them, the segment is cut before the first kernel for which
-    /// [`KernelManager::run_lc_stretch`] cannot prove RunLc: nothing the
-    /// proof reads (headrooms, budget, BE heads, predictions, the pair
-    /// memo and its strikes) moves during a RunLc stretch. `false`, with
-    /// nothing done, when it cannot prove the first kernel.
-    ///
-    /// The whole segment is one step: every per-kernel update is a sum
-    /// (clock, busy time, launch count, decisions, credited hits, the
-    /// query's predicted remaining time), and the budget gauge holds the
-    /// value each decision would set. The windows and the timeline get
-    /// every kernel of it, with the headroom taken once: during the
-    /// segment `now` grows by exactly what the front query's predicted
-    /// remaining time shrinks, so every Equation 9 slack term stays put.
-    /// Out of line, so that the loop keeps the run's fields in registers.
+    /// LC-only busy-period replay: without BE heads the manager's only
+    /// decision for the front query's next kernel is RunLc, predicted at
+    /// the profiled duration, so its kernels replay from the profile up to
+    /// [`RunState::segment_end`]; the loop then admits and retires exactly
+    /// where the decision loop would. Out of line, so that the loop keeps
+    /// the run's fields in registers.
     #[inline(never)]
-    fn busy_replay(&mut self) -> bool {
-        let si = self.active[0].service;
-        let profile = &*self.profiles[si];
-        let from = self.active[0].next;
+    fn busy_replay(&mut self) {
+        let headroom = self.windows.is_some().then(|| self.headroom());
+        self.lc_segment(self.segment_end(), headroom);
+    }
+
+    /// Where a busy-period segment of the front query stops: when it
+    /// retires or the next arrival is due ([`QueryProfile::replay_end`]).
+    fn segment_end(&self) -> usize {
+        let q = &self.active[0];
         // Nothing arrives during the segment: `upcoming` stays put.
         let due = self.arrivals.upcoming().map(|t| t - self.now);
-        let mut end = profile.replay_end(from, due);
-        let colocated = self.be_heads.iter().any(Option::is_some);
-        if colocated {
-            let (fusion, reorder) = self.capped_headrooms(self.headroom());
-            let heads = &self.lc_heads[si][from..end];
-            let proven = self
-                .manager
-                .run_lc_stretch(heads, fusion, reorder, &self.be_heads);
-            if proven == 0 {
-                return false;
-            }
-            end = from + proven;
-        }
+        self.profiles[q.service].replay_end(q.next, due)
+    }
+
+    /// The front query's kernels up to `end`, each decided RunLc, in one
+    /// step: every per-kernel update is a sum (clock, busy time, launch
+    /// count, decisions, the query's predicted remaining time), and the
+    /// budget gauge holds the value each decision would set. The windows
+    /// and the timeline get every kernel of it, each with the window
+    /// `headroom` sample: during the segment `now` grows by exactly what
+    /// the front query's predicted remaining time shrinks, so every
+    /// Equation 9 slack term stays put.
+    fn lc_segment(&mut self, end: usize, headroom: Option<SimTime>) {
+        let si = self.active[0].service;
+        let from = self.active[0].next;
+        let profile = &*self.profiles[si];
         #[cfg(test)]
         BUSY_SEGMENTS.with(|log| log.borrow_mut().push((from, end)));
         let kernels = (end - from) as u64;
         self.m_decisions.add(kernels);
         // RunLc moves no budget.
         self.m_budget.set(self.budget as f64);
-        if colocated {
-            // The RunLc arm's launches from the profile, each credited as
-            // the device hit its probe would have been. (The LC-only replay
-            // credits none: its runs never probed before it either.)
-            self.credited.hits += kernels;
-        }
         if self.observed {
-            let headroom = self.windows.is_some().then(|| self.headroom());
             feed_spans(
                 self.windows.as_mut(),
                 self.report.timeline.as_mut(),
@@ -1167,37 +1155,50 @@ impl<'a> RunState<'a> {
         self.launch_seq += kernels;
         self.now += elapsed;
         self.report.busy += elapsed;
-        true
     }
 
-    /// One manager decision on the Equation 9 headroom, capped by the
-    /// injection budget, and its arm. `false` when the run is over: the
-    /// device is idle and nothing is left to arrive.
+    /// Manager decisions on the Equation 9 headroom, capped by the
+    /// injection budget, and the last one's arm. A steady run hands the
+    /// manager the front query's kernels up to [`RunState::segment_end`],
+    /// any other run one kernel. The kernels decided RunLc before the
+    /// last decision launch from the profile as one segment, each
+    /// credited as the device hit its `run_lc` probe would have been:
+    /// across them nothing a decision reads moves (headrooms, budget, BE
+    /// heads; a steady run has no guard). `false` when the run is over:
+    /// the device is idle and nothing is left to arrive.
     fn decide(&mut self) -> Result<bool, TackerError> {
         let headroom = self.headroom();
-        if let Some(ws) = self.windows.as_mut().filter(|_| !self.active.is_empty()) {
-            let mut emit = row_emitter(self.sink, self.tracing);
-            ws.observe_headroom(self.now, headroom, &mut emit);
-        }
         let (fusion_headroom, reorder_headroom) = self.capped_headrooms(headroom);
-        let lc_head = self
-            .active
-            .front()
-            .map(|q| self.lc_heads[q.service][q.next]);
+        let lc_heads = match self.active.front() {
+            Some(q) => {
+                let end = if self.steady {
+                    self.segment_end()
+                } else {
+                    q.next + 1
+                };
+                &self.lc_heads[q.service][q.next..end]
+            }
+            None => &[],
+        };
         let was_idle = self.active.is_empty();
         self.manager.set_now(self.now);
-        self.m_decisions.inc();
-        self.m_budget.set(self.budget as f64);
         // With multiple active queries the oldest executes first and the
         // Equation 9 headroom above already reserves the remaining GPU time
         // of every query, so fusion stays enabled (§VII-B-2's accounting).
-        let decision = self.manager.decide(
-            lc_head,
-            fusion_headroom,
-            reorder_headroom,
-            &self.be_heads,
-            false,
-        )?;
+        let (stretch, decision) =
+            self.manager
+                .decide(lc_heads, fusion_headroom, reorder_headroom, &self.be_heads)?;
+        if stretch > 0 {
+            self.credited.hits += stretch as u64;
+            let end = self.active[0].next + stretch;
+            self.lc_segment(end, Some(headroom));
+        }
+        if let Some(ws) = self.windows.as_mut().filter(|_| !was_idle) {
+            let mut emit = row_emitter(self.sink, self.tracing);
+            ws.observe_headroom(self.now, headroom, &mut emit);
+        }
+        self.m_decisions.inc();
+        self.m_budget.set(self.budget as f64);
         match decision {
             Decision::RunLc { predicted } => self.run_lc(predicted),
             Decision::RunFused { .. } => self.run_fused(decision)?,
@@ -2084,50 +2085,57 @@ mod tests {
     fn colocated_stretches_stop_at_unresolved_pairs_and_due_arrivals() {
         // FusionOnly never reorders, and ReLU × cutcp (two CUDA kernels)
         // never fuses, so every decision while a query is active is
-        // RunLc. Query 0 resolves the pairs: its kernels 0, 1 and 3 each
-        // meet a pair first seen, and only kernel 2 (a ReLU of kernel 0's
-        // shape) replays. Query 1 arrives as query 0 retires, and query 2
-        // lands exactly on the end of query 1's kernel 1.
+        // RunLc. A walk stops right after a decision that meets a pair
+        // first seen, and at its last head, which the RunLc arm launches;
+        // only the kernels decided before that replay as a segment. Query
+        // 0 resolves the pairs: its kernels 0, 1 and 3 each meet a pair
+        // first seen, so kernel 2 (a ReLU of kernel 0's shape) replays,
+        // and kernel 3 ends its walk. Query 1 arrives as query 0 retires,
+        // and query 2 lands exactly on the end of query 1's kernel 1: the
+        // first walk of query 1 ends there, at kernel 1, and the second
+        // at the query's last kernel, and query 2 walks all four.
         let lc = lc_of(&[4_000_000, 2_000_000, 4_000_000, 1_000_000], None);
         let profile = QueryProfile::measure(&device(), &lc).unwrap();
         let solo = profile.solo();
         let stream = [SimTime::ZERO, solo, solo + profile.elapsed(0, 2)];
         let (segments, report) =
             colocated_segments(&lc, Policy::FusionOnly, &config(), None, &stream);
-        assert_eq!(segments, [(2, 3), (0, 2), (2, 4), (0, 4)]);
+        assert_eq!(segments, [(2, 3), (0, 1), (2, 3), (0, 3)]);
         assert_eq!(report.query_latencies()[..2], [solo, solo]);
     }
 
     #[test]
-    fn colocated_stretches_stop_at_pairs_that_may_fuse() {
-        // GEMM × cutcp is a prepared pair, eligible until struck twice:
-        // with positive fusion headroom the stretch stops before it,
-        // whether or not Equation 8 then fuses it. Query 0 resolves both
-        // pairs (at kernels 0 and 2); query 1 comes long after.
+    fn colocated_stretches_stop_at_fusions() {
+        // GEMM × cutcp is a prepared pair, eligible until struck twice.
+        // Query 0 resolves both pairs: kernel 0 meets ReLU × cutcp, and
+        // the next walk replays kernel 1 and stops right after kernel 2
+        // meets GEMM × cutcp. Query 1 comes long after: its walk replays
+        // kernels 0 and 1 and stops at the GEMM, which fuses. Kernel 3 is
+        // each query's last walk of one head.
         let lc = lc_of(&[4_000_000, 4_000_000, 4_000_000], Some(2));
         let solo = QueryProfile::measure(&device(), &lc).unwrap().solo();
         let stream = [SimTime::ZERO, solo * 20];
         let (segments, report) =
             colocated_segments(&lc, Policy::FusionOnly, &config(), None, &stream);
-        assert_eq!(segments, [(1, 2), (3, 4), (0, 2), (3, 4)]);
+        assert_eq!(segments, [(1, 2), (0, 2)]);
         assert!(report.fused_launches > 0, "the pair never fused");
     }
 
     #[test]
-    fn unsettled_prediction_blocks_the_colocated_replay() {
+    fn first_prediction_fits_inside_a_colocated_stretch() {
         // A target below the solo query time plus the safety margin
-        // leaves no headroom, so Baymax never reorders. But cutcp is
-        // unpredicted when the lone query starts: the first prediction
+        // leaves no headroom, so Baymax never reorders. cutcp is
+        // unpredicted when the lone query starts: kernel 0's decision
         // fits its model and answers from it, and every later one answers
-        // from the history the fit recorded. The replay cannot judge
-        // reordering from an answer that a call would change, so kernel 0
-        // is decided and the rest replays.
+        // from the history the fit recorded. Both are RunLc, and the walk
+        // makes the decision loop's own calls, so the fit happens inside
+        // the stretch: kernels 0 to 4 replay, and the last ends the walk.
         let lc = tiny_lc();
         let solo = QueryProfile::measure(&device(), &lc).unwrap().solo();
         let mut cfg = config();
         cfg.qos_target = solo.mul_f64(1.05);
         let (segments, _) = colocated_segments(&lc, Policy::Baymax, &cfg, None, &[SimTime::ZERO]);
-        assert_eq!(segments, [(1, 6)]);
+        assert_eq!(segments, [(0, 5)]);
     }
 
     #[test]
@@ -2135,8 +2143,8 @@ mod tests {
         // A burst at time zero violates and walks the guard down its
         // ladder; the spaced queries after it meet the target, and after
         // enough calm launches the guard steps back up in the middle of a
-        // query, re-allowing reorders and fusions that a proof made at
-        // the segment's start would have ruled out.
+        // query, re-allowing reorders and fusions that a walk decided at
+        // the stretch's start would have ruled out.
         let lc = tiny_lc();
         let solo = QueryProfile::measure(&device(), &lc).unwrap().solo();
         let mut cfg = config();

@@ -41,13 +41,12 @@ fn manager_selects_the_highest_gain_partner() {
         wk
     };
     let hr = SimTime::from_millis(25);
-    let decision = manager
+    let (_, decision) = manager
         .decide(
-            Some(Head::new(&lc)),
+            &[Head::new(&lc)],
             hr,
             hr,
             &[Some(Head::new(&small)), Some(Head::new(&big))],
-            false,
         )
         .expect("decide");
     let Decision::RunFused { be_index, .. } = decision else {
@@ -86,8 +85,8 @@ fn strikes_blacklist_pairs() {
     }
     let manager = KernelManager::new(Arc::clone(&profiler), Arc::clone(&library), Policy::Tacker);
     let hr = SimTime::from_millis(25);
-    let d = manager
-        .decide(Some(Head::new(&lc)), hr, hr, &[Some(Head::new(&be))], false)
+    let (_, d) = manager
+        .decide(&[Head::new(&lc)], hr, hr, &[Some(Head::new(&be))])
         .expect("decide");
     assert!(
         !matches!(d, Decision::RunFused { .. }),
@@ -238,25 +237,73 @@ fn summary(d: &Decision) -> DecisionSummary {
     }
 }
 
+/// A profiler and library over the shared device, kept in step with the
+/// other worlds of a property case.
+struct World {
+    profiler: Arc<KernelProfiler>,
+    library: Arc<FusionLibrary>,
+}
+
+impl World {
+    fn new() -> World {
+        let profiler = Arc::new(KernelProfiler::new(Arc::clone(shared_device())));
+        let library = Arc::new(FusionLibrary::new(Arc::clone(&profiler)));
+        World { profiler, library }
+    }
+
+    /// A manager over this world tracing into a fresh ring.
+    fn manager(&self) -> (KernelManager, Arc<tacker_trace::RingSink>) {
+        let sink = Arc::new(tacker_trace::RingSink::unbounded());
+        let manager = KernelManager::with_sink(
+            Arc::clone(&self.profiler),
+            Arc::clone(&self.library),
+            Policy::Tacker,
+            sink.clone() as Arc<dyn tacker_trace::TraceSink>,
+        );
+        (manager, sink)
+    }
+
+    /// Strikes the (lc, be) pair and refits its model online.
+    fn strike(&self, lc: &tacker_workloads::WorkloadKernel, be: &tacker_workloads::WorkloadKernel) {
+        if let Some((tc, cd)) = FusionLibrary::orient(lc, be) {
+            if let Some(entry) = self.library.prepare(tc, cd).expect("prepare") {
+                let x = self.profiler.predict(tc).expect("x_tc");
+                let y = self.profiler.predict(cd).expect("x_cd");
+                let lost = (x + y).mul_f64(3.0);
+                entry.lock().expect("entry").observe_outcome(x, y, lost);
+            }
+        }
+    }
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
-    /// A long-lived manager (pair memo warm) decides exactly like a fresh
-    /// manager per call over the same profiler and library: same
-    /// decisions and the same decision/rejection event streams, while
-    /// strikes blacklist pairs, online refits move the fused models and
-    /// the history bypass toggles underneath the memo.
+    /// Three managers over three worlds kept in step (same profiler
+    /// history and models, same library strikes and refits, same history
+    /// bypass) decide alike while strikes blacklist pairs, online refits
+    /// move the fused models and the bypass toggles underneath the memo:
+    ///
+    /// * a long-lived manager walks a stretch of one to four LC heads in
+    ///   one call;
+    /// * a second long-lived manager (pair memo warm) decides the same
+    ///   heads one call at a time, up to where the walk stopped;
+    /// * a fresh manager per call decides each of those heads too.
+    ///
+    /// All three make the same decisions with the same decision and
+    /// rejection event streams, and the walk stops exactly at the first
+    /// decision that is not RunLc, at the last head or right after the
+    /// first decision that met a pair its memo had not resolved. Pool
+    /// kernels are measured up front or not, so that first fits of the
+    /// duration models also happen inside walks.
     #[test]
     fn memoized_pairs_decide_like_a_fresh_manager(
+        measured in 0u16..256,
         steps in proptest::collection::vec(
-            (0usize..3, 0usize..5, 0usize..6, 0u64..30_000, 0u8..10),
+            (proptest::collection::vec(0usize..3, 1..5), 0usize..5, 0usize..6, 0u32..26, 0u8..9),
             1..40,
         ),
     ) {
-        use tacker_trace::{RingSink, TraceSink};
-        let device = shared_device();
-        let profiler = Arc::new(KernelProfiler::new(Arc::clone(device)));
-        let library = Arc::new(FusionLibrary::new(Arc::clone(&profiler)));
         // LC pool: two Tensor GEMMs and a CUDA kernel (both orientations).
         let gemm = tacker_workloads::dnn::compile::shared_gemm();
         let lc_pool = [
@@ -272,63 +319,83 @@ proptest::proptest! {
             gemm_workload(&gemm, GemmShape::new(1024, 1024, 512)),
             Benchmark::Sgemm.task()[0].clone(),
         ];
-        // Every pool kernel is in the launch history before the first
-        // decision, so neither manager's predictions depend on which of
-        // them asked first.
-        for wk in lc_pool.iter().chain(&be_pool) {
-            profiler.measure(wk).expect("measure");
+        let (walking, single, fresh) = (World::new(), World::new(), World::new());
+        let worlds = [&walking, &single, &fresh];
+        // Bit `i` of `measured`: pool kernel `i` is in the launch history
+        // before the first decision; the others fit their model at their
+        // first prediction.
+        for (i, wk) in lc_pool.iter().chain(&be_pool).enumerate() {
+            if measured >> i & 1 == 1 {
+                for w in worlds {
+                    w.profiler.measure(wk).expect("measure");
+                }
+            }
         }
-        let long_sink = Arc::new(RingSink::unbounded());
-        let long = KernelManager::with_sink(
-            Arc::clone(&profiler),
-            Arc::clone(&library),
-            Policy::Tacker,
-            long_sink.clone() as Arc<dyn TraceSink>,
-        );
+        let (walker, walk_sink) = walking.manager();
+        let (stepper, step_sink) = single.manager();
         let lc_heads: Vec<Head<'_>> = lc_pool.iter().map(Head::new).collect();
         let be_heads: Vec<Option<Head<'_>>> = be_pool
             .iter()
             .map(|k| Some(Head::new(k)))
             .chain([None])
             .collect();
+        // The (LC, BE) pairs the stepping manager has met: a Tacker
+        // decision without a guard evaluates every BE head's pair.
+        let mut met = std::collections::HashSet::new();
         let mut bypass = false;
-        for (i, &(l, b1, b2, hr_us, op)) in steps.iter().enumerate() {
+        for (i, (ls, b1, b2, hr_log, op)) in steps.into_iter().enumerate() {
             match op {
-                // Strike the (l, b1) pair and refit its model online.
                 0 | 1 => {
-                    let (lc, be) = (&lc_pool[l], &be_pool[b1]);
-                    if let Some((tc, cd)) = FusionLibrary::orient(lc, be) {
-                        if let Some(entry) = library.prepare(tc, cd).expect("prepare") {
-                            let x = profiler.predict(tc).expect("x_tc");
-                            let y = profiler.predict(cd).expect("x_cd");
-                            let lost = (x + y).mul_f64(3.0);
-                            entry.lock().expect("entry").observe_outcome(x, y, lost);
-                        }
+                    for w in worlds {
+                        w.strike(&lc_pool[ls[0]], &be_pool[b1]);
                     }
                 }
                 2 => {
                     bypass = !bypass;
-                    profiler.set_history_bypass(bypass);
+                    for w in worlds {
+                        w.profiler.set_history_bypass(bypass);
+                    }
                 }
                 _ => {}
             }
-            let lc = (op != 9).then_some(lc_heads[l]);
+            let stretch: Vec<Head<'_>> = if op == 8 {
+                Vec::new()
+            } else {
+                ls.iter().map(|&l| lc_heads[l]).collect()
+            };
             let heads = [be_heads[b1], be_heads[b2]];
-            let hr = SimTime::from_micros(hr_us);
-            let multiple_lc = op == 8;
-            let fresh_sink = Arc::new(RingSink::unbounded());
-            let fresh = KernelManager::with_sink(
-                Arc::clone(&profiler),
-                Arc::clone(&library),
-                Policy::Tacker,
-                fresh_sink.clone() as Arc<dyn TraceSink>,
-            );
-            let warm = long.decide(lc, hr, hr, &heads, multiple_lc).expect("long decide");
-            let cold = fresh.decide(lc, hr, hr, &heads, multiple_lc).expect("fresh decide");
-            proptest::prop_assert_eq!(summary(&warm), summary(&cold), "step {}", i);
-            proptest::prop_assert_eq!(long_sink.drain(), fresh_sink.drain(), "step {}", i);
+            // Log-uniform from 0 to 33 ms: small headrooms leave RunLc
+            // the decision, so that walks go on past their first head.
+            let hr = SimTime::from_nanos((1 << hr_log) - 1);
+            let (n, walked) = walker.decide(&stretch, hr, hr, &heads).expect("walk");
+            // The same heads one call at a time, up to the walk's stop.
+            let mut stepped_events = Vec::new();
+            let mut k = 0;
+            let stop = loop {
+                let head = stretch.get(k..=k).unwrap_or(&[]);
+                let (m, warm) = stepper.decide(head, hr, hr, &heads).expect("single decide");
+                let (cold_manager, cold_sink) = fresh.manager();
+                let (_, cold) = cold_manager.decide(head, hr, hr, &heads).expect("fresh decide");
+                proptest::prop_assert_eq!(m, 0, "step {} head {}", i, k);
+                proptest::prop_assert_eq!(summary(&warm), summary(&cold), "step {} head {}", i, k);
+                let events = step_sink.drain();
+                proptest::prop_assert_eq!(&events, &cold_sink.drain(), "step {} head {}", i, k);
+                stepped_events.extend(events);
+                let mut resolved = false;
+                if let Some(lc) = head.first() {
+                    for be in heads.iter().flatten() {
+                        resolved |= met.insert((lc.fp(), be.fp()));
+                    }
+                }
+                if !matches!(warm, Decision::RunLc { .. }) || k + 1 >= stretch.len() || resolved {
+                    break warm;
+                }
+                k += 1;
+            };
+            proptest::prop_assert_eq!(n, k, "step {}: the walk stopped elsewhere", i);
+            proptest::prop_assert_eq!(summary(&walked), summary(&stop), "step {}", i);
+            proptest::prop_assert_eq!(walk_sink.drain(), stepped_events, "step {}", i);
         }
-        profiler.set_history_bypass(false);
     }
 }
 

@@ -289,9 +289,10 @@ proptest! {
         prop_assert_eq!(report_text(&fast), report_text(&slow));
     }
 
-    /// The busy-period replay of co-located runs (BE work admitted, no
-    /// guard), which replays only the kernels for which the manager
-    /// provably decides RunLc, is bit-identical to the full decision loop,
+    /// Co-located runs (BE work admitted, no guard), in which one manager
+    /// call decides a stretch of the front query's kernels and the ones
+    /// decided RunLc replay as a segment, are bit-identical to the
+    /// decision loop that decides one kernel per call,
     /// device counters included: Tacker, Baymax or FusionOnly, one or two
     /// BE apps (Parboil or DNN training, whose Tensor kernels fuse with
     /// the LC service's CUDA kernel), gaps from a third of a solo query
@@ -317,7 +318,7 @@ proptest! {
     /// Parboil BE apps: each Tensor kernel of the services pairs with the
     /// apps' CUDA kernels, and with targets near 3 solo query times and
     /// gaps near one, fused extras drive the injection budget into debt,
-    /// where the proof covers prepared pairs through zero fusion headroom.
+    /// where walks decide prepared pairs at zero fusion headroom.
     #[test]
     fn colocated_replay_of_dnn_services_is_bit_identical(
         seed in 0u64..1000,
