@@ -98,10 +98,11 @@ pub fn pct(v: f64) -> String {
 /// CPU time (user + system) consumed by this process, in clock ticks.
 /// Falls back to wall-clock milliseconds off Linux; only ratios are used.
 ///
-/// Shared by the overhead gates (the Criterion trace-overhead bench and
-/// `serve_bench --check`'s telemetry gate): on a shared machine wall-clock
-/// carries bursty preemption/steal noise, while CPU time doesn't bill
-/// preemption to the process.
+/// The Criterion trace-overhead bench times with it: on a shared machine
+/// wall-clock carries bursty preemption/steal noise, while CPU time
+/// doesn't bill preemption to the process. (`gates serve`'s telemetry
+/// gate times wall clock instead, in back-to-back pairs whose paired
+/// difference cancels slow drift.)
 ///
 /// # Panics
 ///

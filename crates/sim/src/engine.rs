@@ -115,7 +115,7 @@ pub enum QueueKind {
 /// Engine tuning knobs. Results are identical for every combination; the
 /// options trade only wall-clock speed (and [`KernelRun::pops`]
 /// accounting) — which is what makes the A/B comparison in
-/// `engine_bench` meaningful.
+/// the `gates engine` benchmark meaningful.
 ///
 /// Follows the workspace options idiom: `Default` plus chained `with_*`
 /// setters.
@@ -679,7 +679,7 @@ impl<'a> WarpEngine<'a> {
     /// Launches the next pending block, if any. `inline(always)`: the
     /// first wave and `finish_warp` both call it, and with two call sites
     /// LLVM keeps it out of line, which cost the calendar engine about 12%
-    /// of its events/s in `engine_bench`.
+    /// of its events/s in `gates engine`.
     #[inline(always)]
     fn launch_next_block(&mut self, cal: &mut Calendar<impl SimQueue>, now: f64) {
         let Some(index) = self.st.pending.pop() else {

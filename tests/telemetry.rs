@@ -314,7 +314,7 @@ fn windows_count_fused_cache_traffic_of_unaccepted_pairs() {
 fn faulted_run_attributes_every_violation() {
     let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
     // The tiny drill service never violates even under heavy faults; the
-    // serve_bench fault-drill workload (Resnet50 + fft) reliably does.
+    // `gates serve` fault-drill workload (Resnet50 + fft) reliably does.
     let lc = tacker_workloads::lc_service("Resnet50", &device).expect("Resnet50");
     let be = drill_be();
     let config = ExperimentConfig::default()
