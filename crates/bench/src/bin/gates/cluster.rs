@@ -7,9 +7,9 @@
 //! * **Scaling**: the same two-service workload on one and on two RTX
 //!   2080 Ti nodes. Total queries are fixed, so the host-wall ratio *is*
 //!   the throughput ratio. On a single-core host both configurations run
-//!   serially, so the ratio is 1.0 by construction. That fallback follows
-//!   the host's cores, not [`FleetRun::jobs_used`]: the two-device fleet
-//!   serves inline on a multi-core host too, and its ratio counts there.
+//!   serially, so the ratio is 1.0 by construction. On a multi-core host
+//!   the two devices serve side by side on the pool
+//!   ([`FleetRun::jobs_used`] reads 2), and the ratio counts.
 //! * **Policies**: a heterogeneous four-node fleet runs once per dispatch
 //!   policy over identical arrival streams (simulated-domain numbers).
 

@@ -16,7 +16,7 @@ use tacker_workloads::{BeApp, LcService};
 pub use tacker_par::{available_jobs, pool_map, try_pool_map};
 
 /// The LC services of the paper's evaluation (Table II).
-pub const EVAL_LC_NAMES: [&str; 6] = [
+const EVAL_LC_NAMES: [&str; 6] = [
     "Resnet50",
     "ResNext",
     "VGG16",
@@ -88,11 +88,6 @@ pub fn pair_improvement(
     let imp = 100.0
         * tacker::metrics::throughput_improvement(baymax.be_work_rate(), tacker.be_work_rate());
     (imp, baymax, tacker)
-}
-
-/// Formats a percentage cell.
-pub fn pct(v: f64) -> String {
-    format!("{v:>6.1}%")
 }
 
 /// CPU time (user + system) consumed by this process, in clock ticks.

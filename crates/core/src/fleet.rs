@@ -23,15 +23,14 @@
 //! completions, per-`(device, service)` zero-fault query service times
 //! measured on scratch devices), so the assignment is a pure function of
 //! the workload — independent of host parallelism. Execution then fans
-//! out per device over the persistent `tacker-par` pool, or runs inline
-//! for a small fleet whose devices all replay by segment: each node
-//! replays exactly its routed arrivals ([`ArrivalSpec::Replay`]) through
-//! the one serving engine behind [`crate::serve::ColocationRun`], and
-//! the per-device [`RunReport`]s merge in node order into a
-//! [`FleetReport`]. A fleet of one node with a zero [`DispatchModel`] is
-//! bit-identical to the single-device serving runtime: every policy
-//! routes every query to the only device, and replaying the generated
-//! Poisson streams reproduces the single-device run exactly.
+//! out per device over the persistent `tacker-par` pool: each node serves
+//! exactly its routed arrivals, the subsequence of the fleet's merged
+//! stream routed to it, through the one serving engine behind
+//! [`crate::serve::ColocationRun`], and the per-device [`RunReport`]s
+//! merge in node order into a [`FleetReport`]. A fleet of one node with a
+//! zero [`DispatchModel`] is bit-identical to the single-device serving
+//! runtime: every policy routes every query to the only device, which
+//! then serves the very stream the single-device run generates.
 //!
 //! The [`DispatchModel`] adds a constant dispatcher hop to every query:
 //! arrivals land on the device `latency` later and the device-side QoS
@@ -57,18 +56,6 @@ use crate::serve::{
     generate_arrivals, merged_arrivals, run_engine, ArrivalSpec, ServeOptions, ServiceLoad,
 };
 use crate::server::resolve_loads;
-
-/// Routed queries below which a fleet whose every device replays by
-/// segment ([`ServeOptions::replays_by_segment`]) serves its devices one
-/// after another on the calling thread instead of fanning them out. A
-/// segment replay costs about 100 ns of host time per query: the 72,000
-/// queries of four devices take 7 ms together on a 2-core VM. A fan-out
-/// that short gains nothing dependable there: the OS often woke the
-/// pool's helper on the caller's core and left both sharing it for the
-/// whole batch, for whole processes at a time, so the same run took
-/// 8.8 ms in one process and 12.3 ms in the next (12.3 ms every time
-/// inline).
-const INLINE_REPLAY_QUERIES: usize = 100_000;
 
 /// How the global dispatcher picks a device for each LC query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -551,7 +538,7 @@ impl FleetRun {
             self.mean_interarrival,
             || Arc::new(Device::new(self.nodes[0].spec.clone())),
         )?;
-        let streams = generate_arrivals(&services, &self.config, &self.arrivals)?;
+        let merged = merged_arrivals(&generate_arrivals(&services, &self.config, &self.arrivals)?);
 
         // Per-(device, service) zero-fault query profiles, measured
         // on the process-wide device of each GPU profile
@@ -589,7 +576,6 @@ impl FleetRun {
             .map(|svc| query_fingerprint(&svc.lc))
             .collect();
 
-        let merged = merged_arrivals(&streams);
         let assignments = self.route(
             dispatch_policy,
             &services,
@@ -598,69 +584,54 @@ impl FleetRun {
             &service_fp,
         );
 
-        // Per-device replay streams: routed arrivals shifted by the
-        // dispatch hop. Devices keep only the services actually routed to
-        // them (the replay spec rejects empty streams); `svc_map` keeps
-        // the fleet service index for the merge.
+        // Routed queries per (device, service), and the dispatcher's
+        // outstanding counts per device as (sum, count, max).
         let n = self.nodes.len();
-        let mut routed: Vec<Vec<Vec<SimTime>>> = vec![vec![Vec::new(); services.len()]; n];
-        for ((at, s), a) in merged.iter().zip(&assignments) {
-            routed[a.device][*s].push(*at + self.dispatch.latency);
+        let mut routed = vec![vec![0usize; services.len()]; n];
+        let mut outstanding = vec![(0u64, 0u64, 0u64); n];
+        for ((_, s), a) in merged.iter().zip(&assignments) {
+            routed[a.device][*s] += 1;
+            let e = &mut outstanding[a.device];
+            e.0 += a.outstanding;
+            e.1 += 1;
+            e.2 = e.2.max(a.outstanding);
         }
+        let streams = device_streams(merged, assignments, &routed, self.dispatch.latency);
         let mut device_config = self.config.clone();
         device_config.qos_target = self.config.qos_target.saturating_sub(self.dispatch.latency);
 
         struct DeviceTask {
             services: Vec<ServiceLoad>,
-            streams: Vec<Vec<SimTime>>,
+            arrivals: Vec<(SimTime, usize)>,
             measured: Vec<Arc<QueryProfile>>,
             be: Vec<BeApp>,
             device: Arc<Device>,
         }
-        let mut tasks: Vec<Option<DeviceTask>> = Vec::with_capacity(n);
-        for (d, node) in self.nodes.iter().enumerate() {
-            let mut dev_services = Vec::new();
-            let mut dev_streams = Vec::new();
-            let mut dev_measured = Vec::new();
-            for (s, svc) in services.iter().enumerate() {
-                if routed[d][s].is_empty() {
-                    continue;
+        let tasks: Vec<Option<DeviceTask>> = self
+            .nodes
+            .iter()
+            .zip(streams)
+            .enumerate()
+            .map(|(d, (node, arrivals))| {
+                if arrivals.is_empty() {
+                    return None;
                 }
-                dev_services.push(ServiceLoad {
-                    lc: svc.lc.clone(),
-                    mean_interarrival: svc.mean_interarrival,
-                    // Replay never draws from the seed; derive it from the
-                    // (node, service) coordinates anyway so any future
-                    // stochastic use stays decorrelated across devices.
-                    seed: tacker_par::derive_seed(self.config.seed, &[&node.id, svc.lc.name()]),
-                });
-                dev_streams.push(std::mem::take(&mut routed[d][s]));
-                dev_measured.push(Arc::clone(&measured[d][s]));
-            }
-            if dev_services.is_empty() {
-                tasks.push(None);
-                continue;
-            }
-            tasks.push(Some(DeviceTask {
-                services: dev_services,
-                streams: dev_streams,
-                measured: dev_measured,
-                be: node.be.clone(),
-                device: Arc::new(profiles[d].fork()),
-            }));
-        }
+                let served = (0..services.len()).filter(|&s| routed[d][s] > 0);
+                Some(DeviceTask {
+                    services: served.clone().map(|s| services[s].clone()).collect(),
+                    arrivals,
+                    measured: served.map(|s| Arc::clone(&measured[d][s])).collect(),
+                    be: node.be.clone(),
+                    device: Arc::new(profiles[d].fork()),
+                })
+            })
+            .collect();
 
         let policy = self.device_policy;
-        let opts_template = self.device_options();
-        debug_assert_eq!(merged.len(), self.routed_queries(), "routed query count");
-        let jobs = self.jobs_used();
+        let opts = self.device_options();
         let reports: Vec<Option<Result<RunReport, TackerError>>> =
-            tacker_par::pool_map(jobs, tasks, move |_, task: &Option<DeviceTask>| {
+            tacker_par::pool_map(self.jobs_used(), tasks, move |_, task| {
                 let task = task.as_ref()?;
-                let opts = ServeOptions {
-                    arrivals: ArrivalSpec::Replay(task.streams.clone()),
-                    ..opts_template.clone()
-                };
                 Some(run_engine(
                     &task.device,
                     &task.services,
@@ -669,19 +640,18 @@ impl FleetRun {
                     &device_config,
                     Arc::new(NoopSink),
                     &opts,
+                    &task.arrivals,
                     Some(task.measured.clone()),
                     None,
                 ))
             });
 
-        self.merge(dispatch_policy, &services, &merged, &assignments, reports)
+        self.merge(dispatch_policy, &services, &routed, &outstanding, reports)
     }
 
-    /// The serve options every device runs under; its arrivals are
-    /// replaced by the device's routed streams.
+    /// The serve options every device runs under.
     fn device_options(&self) -> ServeOptions {
         ServeOptions {
-            arrivals: ArrivalSpec::Poisson,
             faults: crate::fault::FaultPlan::none(),
             guard: self.guard.clone(),
             exact_limit: crate::metrics::DEFAULT_EXACT_LIMIT,
@@ -690,39 +660,11 @@ impl FleetRun {
         }
     }
 
-    /// The worker count a run will actually use for its per-device
-    /// serving: one (inline) when every device replays by segment and
-    /// fewer than [`INLINE_REPLAY_QUERIES`] queries are routed (devices
-    /// serve with a no-op sink), otherwise the configured jobs resolved
-    /// against the host and the node count. Results do not depend on it.
+    /// The worker count a run uses for its per-device serving: the
+    /// configured jobs resolved against the host and the node count.
+    /// Results do not depend on it.
     pub fn jobs_used(&self) -> usize {
-        self.replay_jobs(self.routed_queries())
-    }
-
-    /// [`FleetRun::jobs_used`] for `queries` routed queries.
-    fn replay_jobs(&self, queries: usize) -> usize {
-        let opts = self.device_options();
-        let by_segment = self
-            .nodes
-            .iter()
-            .all(|node| opts.replays_by_segment(self.device_policy, &node.be, false));
-        if by_segment && queries < INLINE_REPLAY_QUERIES {
-            1
-        } else {
-            tacker_par::planned_jobs(self.config.jobs, self.nodes.len(), u64::MAX)
-        }
-    }
-
-    /// How many queries a run routes: every replayed arrival, or the
-    /// configured queries of each service.
-    fn routed_queries(&self) -> usize {
-        match &self.arrivals {
-            ArrivalSpec::Replay(streams) => streams.iter().map(Vec::len).sum(),
-            _ => {
-                let services = self.loads.as_ref().map_or(self.lcs.len(), Vec::len);
-                services * self.config.queries
-            }
-        }
+        tacker_par::planned_jobs(self.config.jobs, self.nodes.len(), u64::MAX)
     }
 
     /// The deterministic router: walks the merged fleet stream in order
@@ -820,28 +762,16 @@ impl FleetRun {
     }
 
     /// Deterministic merge of per-device reports (node order) into the
-    /// fleet report.
+    /// fleet report, given the queries routed per (device, service) and
+    /// each device's dispatcher outstanding counts as (sum, count, max).
     fn merge(
         &self,
         dispatch_policy: DispatchPolicy,
         services: &[ServiceLoad],
-        merged: &[(SimTime, usize)],
-        assignments: &[Assignment],
+        routed: &[Vec<usize>],
+        outstanding: &[(u64, u64, u64)],
         reports: Vec<Option<Result<RunReport, TackerError>>>,
     ) -> Result<FleetReport, TackerError> {
-        let n = self.nodes.len();
-        // Recompute each device's routed-service mapping from the
-        // assignment list (cheap, avoids threading svc_map through the
-        // pool closure's return type).
-        let mut routed_counts = vec![vec![0usize; services.len()]; n];
-        let mut dev_outstanding: Vec<(u64, u64, u64)> = vec![(0, 0, 0); n]; // (sum, count, max)
-        for ((_, s), a) in merged.iter().zip(assignments) {
-            routed_counts[a.device][*s] += 1;
-            let e = &mut dev_outstanding[a.device];
-            e.0 += a.outstanding;
-            e.1 += 1;
-            e.2 = e.2.max(a.outstanding);
-        }
         let mut fleet_services: Vec<FleetServiceReport> = services
             .iter()
             .map(|svc| FleetServiceReport {
@@ -852,7 +782,7 @@ impl FleetRun {
             })
             .collect();
         let mut fleet_latency = LatencyStats::with_limit(crate::metrics::DEFAULT_EXACT_LIMIT);
-        let mut devices = Vec::with_capacity(n);
+        let mut devices = Vec::with_capacity(self.nodes.len());
         let mut wall = SimTime::ZERO;
         for (d, (node, slot)) in self.nodes.iter().zip(reports).enumerate() {
             let report = match slot {
@@ -863,9 +793,8 @@ impl FleetRun {
                 wall = wall.max(r.wall);
                 fleet_latency.merge(&r.latency);
                 // The device kept only routed services, in fleet order.
-                let svc_map: Vec<usize> = (0..services.len())
-                    .filter(|&s| routed_counts[d][s] > 0)
-                    .collect();
+                let svc_map: Vec<usize> =
+                    (0..services.len()).filter(|&s| routed[d][s] > 0).collect();
                 debug_assert_eq!(svc_map.len(), r.per_service().len());
                 for (dev_s, &s) in svc_map.iter().enumerate() {
                     let from = &r.per_service()[dev_s];
@@ -875,7 +804,7 @@ impl FleetRun {
                     to.latency.merge(&from.latency);
                 }
             }
-            let (sum, count, max) = dev_outstanding[d];
+            let (sum, count, max) = outstanding[d];
             devices.push(FleetDeviceReport {
                 id: node.id.clone(),
                 gpu: node.spec.name.clone(),
@@ -893,9 +822,9 @@ impl FleetRun {
         for svc in &mut fleet_services {
             svc.latency.shrink_to_fit();
         }
-        let total_events: u64 = dev_outstanding.iter().map(|e| e.1).sum();
-        let total_sum: u64 = dev_outstanding.iter().map(|e| e.0).sum();
-        let outstanding_max = dev_outstanding.iter().map(|e| e.2).max().unwrap_or(0);
+        let total_events: u64 = outstanding.iter().map(|e| e.1).sum();
+        let total_sum: u64 = outstanding.iter().map(|e| e.0).sum();
+        let outstanding_max = outstanding.iter().map(|e| e.2).max().unwrap_or(0);
         Ok(FleetReport {
             dispatch_policy,
             device_policy: self.device_policy,
@@ -913,6 +842,41 @@ impl FleetRun {
             },
         })
     }
+}
+
+/// Hands each device its arrivals: the subsequence of the fleet's
+/// `merged` stream that `assignments` routed to it, shifted by the
+/// dispatch `latency`, with each fleet service renumbered to its index
+/// among the services `routed` to that device (`routed[d][s]` counts
+/// service `s`'s queries on device `d`). The renumbering keeps the
+/// order, so each stream is in [`merged_arrivals`] order over the
+/// device's own services, ties included.
+fn device_streams(
+    merged: Vec<(SimTime, usize)>,
+    assignments: Vec<Assignment>,
+    routed: &[Vec<usize>],
+    latency: SimTime,
+) -> Vec<Vec<(SimTime, usize)>> {
+    let local: Vec<Vec<usize>> = routed
+        .iter()
+        .map(|row| {
+            row.iter()
+                .scan(0, |next, &count| {
+                    let at = *next;
+                    *next += usize::from(count > 0);
+                    Some(at)
+                })
+                .collect()
+        })
+        .collect();
+    let mut streams: Vec<Vec<(SimTime, usize)>> = routed
+        .iter()
+        .map(|row| Vec::with_capacity(row.iter().sum()))
+        .collect();
+    for ((at, s), a) in merged.into_iter().zip(assignments) {
+        streams[a.device].push((at + latency, local[a.device][s]));
+    }
+    streams
 }
 
 /// The process-wide device of a GPU profile: one memoized simulation
@@ -1012,61 +976,72 @@ mod tests {
     }
 
     #[test]
-    fn small_segment_replay_fleets_serve_inline() {
+    fn jobs_used_is_the_planned_pool() {
         let cfg = config().with_jobs(4);
-        let fleet = || FleetRun::new(heterogeneous_fleet(2), &cfg, &[tiny_lc()]).unwrap();
-        // The pool runs at most one worker per node and per host core.
-        let pooled = |nodes| tacker_par::planned_jobs(4, nodes, u64::MAX);
-        let lc_only = fleet();
-        assert_eq!(lc_only.replay_jobs(INLINE_REPLAY_QUERIES - 1), 1);
-        assert_eq!(lc_only.replay_jobs(INLINE_REPLAY_QUERIES), pooled(2));
-        // Windows observe without changing how the devices replay.
-        let windowed = fleet().windowed(SimTime::from_millis(10));
-        assert_eq!(windowed.replay_jobs(INLINE_REPLAY_QUERIES - 1), 1);
-        // A guard or the decision loop makes every device decide per
-        // kernel: the pool pays.
-        let guarded = fleet().guarded(GuardConfig::default());
-        let decision_loop = fleet().steady_fast_path(false);
-        for run in [&guarded, &decision_loop] {
-            assert_eq!(run.replay_jobs(24), pooled(2));
+        let fleet = || FleetRun::new(heterogeneous_fleet(3), &cfg, &[tiny_lc()]).unwrap();
+        let pooled = 4.min(tacker_par::available_jobs()).min(3);
+        // Every device fans out, whether it serves by segment or decides
+        // each kernel.
+        for run in [
+            fleet(),
+            fleet().windowed(SimTime::from_millis(10)),
+            fleet().guarded(GuardConfig::default()),
+            fleet().steady_fast_path(false),
+        ] {
+            assert_eq!(run.jobs_used(), pooled);
         }
-        let nodes = || vec![FleetNode::new("gpu-0", GpuSpec::rtx2080ti()).with_be(tiny_be())];
-        let with_be = FleetRun::new(nodes(), &cfg, &[tiny_lc()]).unwrap();
-        assert_eq!(with_be.replay_jobs(24), pooled(1));
-        // BE work the policy never admits leaves the node LC-only.
-        let be_idle = FleetRun::new(nodes(), &cfg, &[tiny_lc()])
-            .unwrap()
-            .device_policy(Policy::LcOnly);
-        assert_eq!(be_idle.replay_jobs(24), 1);
     }
 
     #[test]
-    fn jobs_used_reports_the_inline_and_pooled_worker_counts() {
-        let cfg = config().with_jobs(4);
-        let fleet = |lcs: &[LcService]| FleetRun::new(heterogeneous_fleet(3), &cfg, lcs).unwrap();
-        // Served inline: a small LC-only fleet replays by segment.
-        let inline = fleet(&[tiny_lc()]);
-        assert_eq!(inline.routed_queries(), cfg.queries);
-        assert_eq!(inline.jobs_used(), 1);
-        // Served inline too: windows do not change how the devices replay.
-        let windowed = fleet(&[tiny_lc()]).windowed(SimTime::from_millis(10));
-        assert_eq!(windowed.jobs_used(), 1);
-        // Pooled: the decision loop decides every kernel on every device.
-        let pooled = fleet(&[tiny_lc(), tiny_lc()]).steady_fast_path(false);
-        assert_eq!(pooled.routed_queries(), 2 * cfg.queries);
-        assert_eq!(
-            pooled.jobs_used(),
-            4.min(tacker_par::available_jobs()).min(3)
-        );
-        // Replayed arrivals count as routed; past the inline threshold
-        // the pool serves even segment replays.
-        let streams = vec![vec![SimTime::ZERO; INLINE_REPLAY_QUERIES]];
-        let replayed = fleet(&[tiny_lc()]).arrivals(ArrivalSpec::Replay(streams));
-        assert_eq!(replayed.routed_queries(), INLINE_REPLAY_QUERIES);
-        assert_eq!(
-            replayed.jobs_used(),
-            tacker_par::planned_jobs(4, 3, u64::MAX)
-        );
+    fn device_streams_are_the_merge_of_their_routed_services() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let latency = SimTime::from_micros(3);
+        for case in 0..64 {
+            let services = 1 + case % 4;
+            let devices = 2 + case % 3;
+            // Coarse times, so that ties across services are common.
+            let streams: Vec<Vec<SimTime>> = (0..services)
+                .map(|_| {
+                    let len = rng.random::<u64>() % 30;
+                    let mut s: Vec<SimTime> = (0..len)
+                        .map(|_| SimTime::from_micros(rng.random::<u64>() % 8))
+                        .collect();
+                    s.sort();
+                    s
+                })
+                .collect();
+            let merged = merged_arrivals(&streams);
+            let assignments: Vec<Assignment> = merged
+                .iter()
+                .map(|_| Assignment {
+                    device: rng.random::<u64>() as usize % devices,
+                    outstanding: 0,
+                })
+                .collect();
+            // The per-service construction: split each device's queries by
+            // service, keep its non-empty streams in fleet order, merge.
+            let mut split = vec![vec![Vec::new(); services]; devices];
+            let mut routed = vec![vec![0; services]; devices];
+            for (&(at, s), a) in merged.iter().zip(&assignments) {
+                split[a.device][s].push(at + latency);
+                routed[a.device][s] += 1;
+            }
+            let expect: Vec<Vec<(SimTime, usize)>> = split
+                .into_iter()
+                .map(|per_service| {
+                    let kept: Vec<Vec<SimTime>> =
+                        per_service.into_iter().filter(|s| !s.is_empty()).collect();
+                    merged_arrivals(&kept)
+                })
+                .collect();
+            assert_eq!(
+                device_streams(merged, assignments, &routed, latency),
+                expect,
+                "{streams:?}"
+            );
+        }
     }
 
     #[test]

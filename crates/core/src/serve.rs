@@ -83,13 +83,11 @@ pub enum ArrivalSpec {
     Replay(Vec<Vec<SimTime>>),
 }
 
-/// Serving-mode options: arrival process, fault plan, the optional QoS
-/// guard, and telemetry collection. The default is indistinguishable
-/// from a batch run. [`ColocationRun`]'s builder methods set them.
+/// Serving-mode options: fault plan, the optional QoS guard, and
+/// telemetry collection. The default is indistinguishable from a batch
+/// run. [`ColocationRun`]'s builder methods set them.
 #[derive(Debug, Clone)]
 pub(crate) struct ServeOptions {
-    /// The arrival process.
-    pub(crate) arrivals: ArrivalSpec,
     /// Faults to inject.
     pub(crate) faults: FaultPlan,
     /// Enable the adaptive QoS guard with this configuration.
@@ -108,32 +106,12 @@ pub(crate) struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            arrivals: ArrivalSpec::default(),
             faults: FaultPlan::default(),
             guard: None,
             exact_limit: DEFAULT_EXACT_LIMIT,
             window: None,
             fast_path: true,
         }
-    }
-}
-
-impl ServeOptions {
-    /// Whether a run under these options replays every busy period as
-    /// whole segments: the replays are on, nothing faults, traces or
-    /// guards the run, and `policy` admits no BE work of `be_apps`. Such a
-    /// run costs a few host steps per query rather than a decision per
-    /// kernel, plus a window span and a timeline entry per kernel when
-    /// those are on: they read each segment without choosing how it runs.
-    pub(crate) fn replays_by_segment(
-        &self,
-        policy: Policy,
-        be_apps: &[BeApp],
-        tracing: bool,
-    ) -> bool {
-        let no_be =
-            !policy.best_effort_enabled() || be_apps.iter().all(|b| b.task_kernels().is_empty());
-        self.fast_path && !tracing && self.faults.is_zero() && self.guard.is_none() && no_be
     }
 }
 
@@ -166,6 +144,7 @@ pub struct ColocationRun<'a> {
     mean_interarrival: Option<SimTime>,
     loads: Option<Vec<ServiceLoad>>,
     sink: Arc<dyn TraceSink>,
+    arrivals: ArrivalSpec,
     options: ServeOptions,
     /// The fusion library shared with other runs (a sweep's); `None`
     /// scopes a private one to this run's services and BE apps.
@@ -201,6 +180,7 @@ impl<'a> ColocationRun<'a> {
             mean_interarrival: None,
             loads: None,
             sink: Arc::new(NoopSink),
+            arrivals: ArrivalSpec::default(),
             options: ServeOptions::default(),
             library: None,
         })
@@ -252,7 +232,7 @@ impl<'a> ColocationRun<'a> {
     /// Selects the arrival process (default [`ArrivalSpec::Poisson`]).
     #[must_use]
     pub fn arrivals(mut self, spec: ArrivalSpec) -> Self {
-        self.options.arrivals = spec;
+        self.arrivals = spec;
         self
     }
 
@@ -333,6 +313,8 @@ impl<'a> ColocationRun<'a> {
             self.mean_interarrival,
             || Arc::clone(device),
         )?;
+        let arrivals =
+            merged_arrivals(&generate_arrivals(&services, &self.config, &self.arrivals)?);
         run_engine(
             self.device,
             &services,
@@ -341,6 +323,7 @@ impl<'a> ColocationRun<'a> {
             &self.config,
             self.sink,
             &self.options,
+            &arrivals,
             None,
             self.library.as_ref(),
         )
@@ -547,7 +530,7 @@ thread_local! {
 
 /// Materializes the per-service arrival streams. Shared with the fleet
 /// dispatcher ([`crate::fleet`]), which generates one fleet-level set of
-/// streams and replays per-device slices of it.
+/// streams and hands each device the part routed to it.
 pub(crate) fn generate_arrivals(
     services: &[ServiceLoad],
     config: &ExperimentConfig,
@@ -647,21 +630,14 @@ pub(crate) fn merged_arrivals(per_service: &[Vec<SimTime>]) -> Vec<(SimTime, usi
     merged
 }
 
-/// The [`merged_arrivals`] stream, admitted in order by a cursor.
-struct Arrivals {
-    merged: Vec<(SimTime, usize)>,
+/// A [`merged_arrivals`] stream, admitted in order by a cursor.
+struct Arrivals<'a> {
+    merged: &'a [(SimTime, usize)],
     /// Arrivals admitted so far: a prefix of `merged`.
     admitted: usize,
 }
 
-impl Arrivals {
-    fn new(per_service: &[Vec<SimTime>]) -> Arrivals {
-        Arrivals {
-            merged: merged_arrivals(per_service),
-            admitted: 0,
-        }
-    }
-
+impl Arrivals<'_> {
     /// Admits the next arrival if it is due by `now`: its
     /// `(time, service)`.
     fn admit(&mut self, now: SimTime) -> Option<(SimTime, usize)> {
@@ -676,9 +652,11 @@ impl Arrivals {
     }
 }
 
-/// The event-driven engine behind every [`ColocationRun`]. `measured`
-/// holds each service's query already measured on `device`'s GPU profile
-/// (a fleet node's); without it the engine measures them itself.
+/// The event-driven engine behind every [`ColocationRun`]. `arrivals` is
+/// the run's `(time, service)` stream in [`merged_arrivals`] order.
+/// `measured` holds each service's query already measured on `device`'s
+/// GPU profile (a fleet node's); without it the engine measures them
+/// itself.
 /// `library` is a fusion library on `device` shared with other runs;
 /// without it the engine scopes one to `services` × `be_apps`. Either
 /// way the run serves from its own copies of the library's entries.
@@ -691,6 +669,7 @@ pub(crate) fn run_engine(
     config: &ExperimentConfig,
     sink: Arc<dyn TraceSink>,
     opts: &ServeOptions,
+    arrivals: &[(SimTime, usize)],
     measured: Option<Vec<Arc<QueryProfile>>>,
     library: Option<&Arc<FusionLibrary>>,
 ) -> Result<RunReport, TackerError> {
@@ -728,8 +707,6 @@ pub(crate) fn run_engine(
     if let Some(g) = &guard {
         manager = manager.with_guard(Arc::clone(g));
     }
-
-    let arrivals_per_service = generate_arrivals(services, config, &opts.arrivals)?;
 
     // Every service's query measured once on this device's GPU profile:
     // the paper's "historical data" (these exact kernels recur every
@@ -844,7 +821,10 @@ pub(crate) fn run_engine(
         m_guard_steps: serving.then(|| registry.counter("guard_steps")),
         m_faults: serving.then(|| registry.counter("faults_injected")),
         now: SimTime::ZERO,
-        arrivals: Arrivals::new(&arrivals_per_service),
+        arrivals: Arrivals {
+            merged: arrivals,
+            admitted: 0,
+        },
         active: VecDeque::new(),
         be_states,
         be_heads,
@@ -889,12 +869,6 @@ pub(crate) fn run_engine(
             guard_log: Vec::new(),
         },
     };
-    debug_assert_eq!(
-        steady && run.be_heads.iter().all(Option::is_none),
-        opts.replays_by_segment(policy, be_apps, tracing),
-        "ServeOptions::replays_by_segment names the runs that replay by segment"
-    );
-
     run.serve_loop()?;
     let report = run.finish();
     sink.flush();
@@ -987,7 +961,7 @@ struct RunState<'a> {
     m_faults: Option<Arc<Counter>>,
 
     now: SimTime,
-    arrivals: Arrivals,
+    arrivals: Arrivals<'a>,
     active: VecDeque<ActiveQuery>,
     be_states: Vec<BeState<'a>>,
     be_heads: Vec<Option<Head<'a>>>,

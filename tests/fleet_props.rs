@@ -105,11 +105,65 @@ proptest! {
         prop_assert_eq!(fleet.wall, solo.wall);
     }
 
+    /// A fleet of one hands its device the replayed arrivals in the order
+    /// the single-device runtime admits them, ties included: two
+    /// services whose unsorted streams share instants, within one
+    /// service and across both, serve bit-identically with and without
+    /// the dispatcher in front.
+    #[test]
+    fn fleet_of_one_replays_tied_arrivals_as_one_device(
+        gemm_m in 1024u64..4096,
+        pick in 0usize..5,
+        times_a in proptest::collection::vec(0u64..6, 1..12),
+        times_b in proptest::collection::vec(0u64..6, 1..12),
+    ) {
+        let loads: Vec<ServiceLoad> = [lc_service(gemm_m), lc_service(gemm_m / 2 + 512)]
+            .into_iter()
+            .map(|lc| ServiceLoad {
+                lc,
+                mean_interarrival: tacker_kernel::SimTime::from_millis(1),
+                seed: 0,
+            })
+            .collect();
+        let ms = |times: &[u64]| -> Vec<_> {
+            times.iter().map(|&t| tacker_kernel::SimTime::from_millis(t)).collect()
+        };
+        let streams = ArrivalSpec::Replay(vec![ms(&times_a), ms(&times_b)]);
+        let be: Vec<BeApp> = if pick < 4 { vec![be_pick(pick)] } else { Vec::new() };
+        let config = ExperimentConfig::default().with_seed(7);
+
+        let device = Arc::new(Device::new(GpuSpec::rtx2080ti()));
+        let solo = ColocationRun::new(&device, &config, &[loads[0].lc.clone()], &be)
+            .expect("solo")
+            .with_loads(&loads)
+            .arrivals(streams.clone())
+            .run()
+            .expect("solo");
+        let node = be
+            .iter()
+            .fold(FleetNode::new("gpu-0", GpuSpec::rtx2080ti()), |n, app| n.with_be(app.clone()));
+        let fleet = FleetRun::new(vec![node], &config, &[loads[0].lc.clone()])
+            .expect("fleet")
+            .with_loads(&loads)
+            .arrivals(streams)
+            .run()
+            .expect("fleet");
+
+        let dev = fleet.devices[0].report.as_ref().expect("device ran");
+        prop_assert_eq!(dev.query_count(), times_a.len() + times_b.len());
+        prop_assert_eq!(format!("{:?}", dev.per_service()), format!("{:?}", solo.per_service()));
+        prop_assert_eq!(dev.wall, solo.wall);
+        prop_assert_eq!(dev.busy, solo.busy);
+        prop_assert_eq!(dev.be_work, solo.be_work);
+        prop_assert_eq!(dev.fused_launches, solo.fused_launches);
+        prop_assert_eq!(&dev.violation_log, &solo.violation_log);
+    }
+
     /// Fleet determinism: the same configuration produces the same
     /// routing and the same merged report at any worker count — routing
     /// is serial by construction, and the per-device engines are pure.
-    /// Windowed telemetry makes the devices replay kernel by kernel, so
-    /// they fan out on the pool; without it they run inline.
+    /// The devices fan out on the pool whether or not windowed telemetry
+    /// observes them; the windows cover the span feed at fleet scale.
     #[test]
     fn fleet_reports_are_jobs_invariant(
         seed in 0u64..1000,
