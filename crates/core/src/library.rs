@@ -28,8 +28,10 @@
 //! to the (LC kernel × BE kernel) pairs it serves prepares each key from
 //! its canonical member, the in-scope pair with the smallest
 //! `(tc fingerprint, cd fingerprint)`; that depends on the set of pairs,
-//! not on which caller met the key first. An unscoped library
-//! ([`FusionLibrary::new`]) prepares each key from the first pair asked.
+//! not on which caller met the key first. A key outside the scope is
+//! prepared from the pair asked, so an unscoped library
+//! ([`FusionLibrary::new`], scoped to no pair) prepares each key from the
+//! first pair asked.
 //!
 //! **Per-run state.** A run never mutates a shared entry: it serves from
 //! a view (`FusionLibrary::for_run`) that copies each entry on first
@@ -137,8 +139,6 @@ type Prepared = Option<Arc<Mutex<PairEntry>>>;
 
 /// Where a library's entries come from.
 enum Source {
-    /// Each key is prepared from the first pair asked.
-    FirstAsked,
     /// Each key is prepared from its canonical member (see the module
     /// docs); a pair outside the scope is prepared as asked.
     Scoped(HashMap<PairKey, (WorkloadKernel, WorkloadKernel)>),
@@ -149,7 +149,6 @@ enum Source {
 /// The fusion library.
 pub struct FusionLibrary {
     device: Arc<Device>,
-    pack: PackPriority,
     source: Source,
     /// One slot per key asked for, filled once. A preparer holds its key's
     /// slot while it builds, so racing callers of one key wait for the
@@ -164,10 +163,9 @@ pub struct FusionLibrary {
 }
 
 impl FusionLibrary {
-    fn with_source(device: Arc<Device>, pack: PackPriority, source: Source) -> FusionLibrary {
+    fn with_source(device: Arc<Device>, source: Source) -> FusionLibrary {
         FusionLibrary {
             device,
-            pack,
             source,
             entries: Mutex::new(HashMap::new()),
             fused_defs: Mutex::new(HashMap::new()),
@@ -178,13 +176,10 @@ impl FusionLibrary {
     /// prepared from the first pair asked. The profiler's own history is
     /// neither read nor written (see the module docs).
     pub fn new(profiler: Arc<KernelProfiler>) -> FusionLibrary {
-        FusionLibrary::with_priority(profiler, PackPriority::TensorFirst)
-    }
-
-    /// Creates an unscoped library with an explicit packing priority
-    /// (ablation).
-    pub fn with_priority(profiler: Arc<KernelProfiler>, pack: PackPriority) -> FusionLibrary {
-        FusionLibrary::with_source(Arc::clone(profiler.device()), pack, Source::FirstAsked)
+        FusionLibrary::with_source(
+            Arc::clone(profiler.device()),
+            Source::Scoped(HashMap::new()),
+        )
     }
 
     /// A library on `device` scoped to every (LC query kernel × BE task
@@ -243,11 +238,7 @@ impl FusionLibrary {
             .into_iter()
             .map(|(key, (_, tc, cd))| (key, (tc.clone(), cd.clone())))
             .collect();
-        FusionLibrary::with_source(
-            Arc::clone(device),
-            PackPriority::TensorFirst,
-            Source::Scoped(members),
-        )
+        FusionLibrary::with_source(Arc::clone(device), Source::Scoped(members))
     }
 
     /// A run's view of `shared`: it answers with a copy of each shared
@@ -256,7 +247,6 @@ impl FusionLibrary {
     pub(crate) fn for_run(shared: &Arc<FusionLibrary>) -> FusionLibrary {
         FusionLibrary::with_source(
             Arc::clone(&shared.device),
-            shared.pack,
             Source::Copies(Arc::clone(shared)),
         )
     }
@@ -362,7 +352,6 @@ impl FusionLibrary {
             return Ok(prepared.clone());
         }
         let entry = match &self.source {
-            Source::FirstAsked => self.build_entry(tc, cd)?,
             Source::Scoped(members) => {
                 let (tc, cd) = members.get(&key).map_or((tc, cd), |(tc, cd)| (tc, cd));
                 self.build_entry(tc, cd)?
@@ -388,7 +377,7 @@ impl FusionLibrary {
             return Ok(None);
         }
         let spec = self.device.spec().clone();
-        let configs = enumerate_configs(&tc.def, &cd.def, &spec.sm, self.pack);
+        let configs = enumerate_configs(&tc.def, &cd.def, &spec.sm, PackPriority::TensorFirst);
         if configs.is_empty() {
             return Ok(None);
         }
