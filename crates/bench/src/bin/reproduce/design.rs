@@ -9,6 +9,7 @@ use tacker::baselines::{overlap_experiment, CorunInterface};
 use tacker::manager::{Head, KernelManager};
 use tacker::prelude::*;
 use tacker::profile::KernelProfiler;
+use tacker::TackerError;
 use tacker_fuser::{enumerate_configs, fuse_flexible, to_ptb, FusionConfig, PackPriority};
 use tacker_predictor::{FusedPairModel, LinReg};
 use tacker_sim::ExecutablePlan;
@@ -24,9 +25,6 @@ use crate::{mean, Ctx};
 /// Paper: Tacker achieves the highest overlap in every pair; MPS is poor
 /// in many cases and Stream is unstable on several benchmarks.
 pub fn fig20(ctx: &Ctx, out: &mut String) -> fmt::Result {
-    let device = &ctx.rtx;
-    let profiler = KernelProfiler::new(Arc::clone(device));
-    let gemm_def = tacker_workloads::dnn::compile::shared_gemm();
     // Two NVIDIA GEMM implementations, as in the paper: the 128-tile
     // CUTLASS-style kernel and the 64-tile cudaTensorCoreGemm-style one.
     let gemms = [
@@ -36,6 +34,45 @@ pub fn fig20(ctx: &Ctx, out: &mut String) -> fmt::Result {
     let kernels = [
         Mriq, Fft, Mrif, Cutcp, Cp, Sgemm, Lbm, Stencil, Tpacf, Regtile,
     ];
+    let pairs: Vec<_> = gemms
+        .into_iter()
+        .flat_map(|(gname, shape, use_64)| kernels.map(|b| (gname, shape, use_64, b)))
+        .collect();
+    // The pairs are independent: each measures with its own profiler on
+    // the shared (memoizing) device. Rows join in pair order.
+    let device = Arc::clone(&ctx.rtx);
+    let rows = tacker_par::try_pool_map(ctx.jobs, pairs, move |_, &(gname, shape, use_64, b)| {
+        let profiler = KernelProfiler::new(Arc::clone(&device));
+        let tc = if use_64 {
+            gemm_workload_64(shape)
+        } else {
+            gemm_workload(&tacker_workloads::dnn::compile::shared_gemm(), shape)
+        };
+        // Tune the CD kernel's solo time to match the GEMM's (paper
+        // tunes for the highest possible overlap rate).
+        let mut cd = b.task()[0].clone();
+        let t_tc = profiler.measure(&tc)?;
+        let t_cd = profiler.measure(&cd)?;
+        cd.grid = ((cd.grid as f64 * t_tc.ratio(t_cd)).round() as u64).max(1);
+        // The black-box interfaces are *unstable*: sample several runs
+        // and report mean ± spread. Tacker's fusion is deterministic.
+        let overlap = |interface, seed| {
+            overlap_experiment(&device, &tc, &cd, interface, seed).map(|r| r.overlap)
+        };
+        let sample = |interface| -> Result<(f64, f64), TackerError> {
+            let overlaps: Vec<f64> = (0..5)
+                .map(|seed| overlap(interface, 17 + seed))
+                .collect::<Result<_, _>>()?;
+            let mean = mean(&overlaps);
+            let spread = overlaps.iter().fold(0.0f64, |m, v| m.max((v - mean).abs()));
+            Ok((mean, spread))
+        };
+        let stream = sample(CorunInterface::StreamPtb)?;
+        let mps = sample(CorunInterface::MpsPtb)?;
+        let tacker = overlap(CorunInterface::TackerFusion, 17)?;
+        Ok::<_, TackerError>((format!("{}:{gname}", b.name()), stream, mps, tacker))
+    })
+    .expect("corun");
     writeln!(
         out,
         "# Figure 20: overlap rate (Equation 11) by co-running interface"
@@ -46,54 +83,24 @@ pub fn fig20(ctx: &Ctx, out: &mut String) -> fmt::Result {
         "pair", "Stream+PTB", "MPS+PTB", "Tacker"
     )?;
     let mut wins = 0;
-    let mut total = 0;
+    let total = rows.len();
     let mut black_box_spread = Vec::new();
-    for (gname, shape, use_64) in gemms {
-        for b in kernels {
-            let tc = if use_64 {
-                gemm_workload_64(shape)
-            } else {
-                gemm_workload(&gemm_def, shape)
-            };
-            // Tune the CD kernel's solo time to match the GEMM's (paper
-            // tunes for the highest possible overlap rate).
-            let mut cd = b.task()[0].clone();
-            let t_tc = profiler.measure(&tc).expect("tc");
-            let t_cd = profiler.measure(&cd).expect("cd");
-            cd.grid = ((cd.grid as f64 * t_tc.ratio(t_cd)).round() as u64).max(1);
-            // The black-box interfaces are *unstable*: sample several runs
-            // and report mean ± spread. Tacker's fusion is deterministic.
-            let overlap = |interface, seed| {
-                overlap_experiment(device, &tc, &cd, interface, seed)
-                    .expect("corun")
-                    .overlap
-            };
-            let sample = |interface| {
-                let overlaps: Vec<f64> = (0..5).map(|seed| overlap(interface, 17 + seed)).collect();
-                let mean = mean(&overlaps);
-                let spread = overlaps.iter().fold(0.0f64, |m, v| m.max((v - mean).abs()));
-                (mean, spread)
-            };
-            let (stream, stream_spread) = sample(CorunInterface::StreamPtb);
-            let (mps, mps_spread) = sample(CorunInterface::MpsPtb);
-            let tacker = overlap(CorunInterface::TackerFusion, 17);
-            let pct = |v: f64| 100.0 * v;
-            writeln!(
-                out,
-                "{:<12} {:>8.1}% ±{:>4.1}% {:>8.1}% ±{:>4.1}% {:>7.1}%",
-                format!("{}:{gname}", b.name()),
-                pct(stream),
-                pct(stream_spread),
-                pct(mps),
-                pct(mps_spread),
-                pct(tacker)
-            )?;
-            total += 1;
-            wins += usize::from(
-                tacker >= mps + mps_spread - 1e-9 && tacker >= stream + stream_spread - 1e-9,
-            );
-            black_box_spread.push(stream_spread.max(mps_spread));
-        }
+    for (pair, (stream, stream_spread), (mps, mps_spread), tacker) in rows {
+        let pct = |v: f64| 100.0 * v;
+        writeln!(
+            out,
+            "{:<12} {:>8.1}% ±{:>4.1}% {:>8.1}% ±{:>4.1}% {:>7.1}%",
+            pair,
+            pct(stream),
+            pct(stream_spread),
+            pct(mps),
+            pct(mps_spread),
+            pct(tacker)
+        )?;
+        wins += usize::from(
+            tacker >= mps + mps_spread - 1e-9 && tacker >= stream + stream_spread - 1e-9,
+        );
+        black_box_spread.push(stream_spread.max(mps_spread));
     }
     let avg_spread = 100.0 * black_box_spread.iter().sum::<f64>() / black_box_spread.len() as f64;
     writeln!(

@@ -140,13 +140,6 @@ impl DispatchModel {
     pub fn constant(latency: SimTime) -> DispatchModel {
         DispatchModel { latency }
     }
-
-    /// Sets the per-query dispatch latency.
-    #[must_use]
-    pub fn with_latency(mut self, latency: SimTime) -> Self {
-        self.latency = latency;
-        self
-    }
 }
 
 /// One GPU of the serving fleet: an id, a device profile, and the BE

@@ -464,12 +464,6 @@ impl FusionLibrary {
         self.prepared().len()
     }
 
-    /// Number of memoized fused-kernel constructions (one per distinct
-    /// `(tc_id, cd_id, ratio)` the library has built).
-    pub fn cached_fused_defs(&self) -> usize {
-        self.fused_defs.lock().expect("fused defs poisoned").len()
-    }
-
     /// Number of pairs that fused (entries with a kernel).
     pub fn fused_pairs(&self) -> usize {
         self.prepared().iter().filter(|p| p.is_some()).count()

@@ -80,8 +80,11 @@ impl Policy {
 /// kernel().fingerprint()` holds by construction. A run resolves every
 /// LC query kernel and BE task kernel into a head once, then decides,
 /// predicts and launches by the stored fingerprint without re-hashing.
-/// An LC query head also carries its profiled duration, the exact
-/// prediction the profiler's history holds for it.
+/// A head also carries its profiled duration once the run's profiler
+/// history holds its fingerprint: an LC query head from the start, a BE
+/// task head from the first time the history records its task position.
+/// That duration is the exact prediction whenever the history is not
+/// bypassed, so the manager predicts such a head without a history probe.
 #[derive(Debug, Clone, Copy)]
 pub struct Head<'a> {
     wk: &'a WorkloadKernel,
@@ -122,6 +125,12 @@ impl<'a> Head<'a> {
     /// The kernel's launch fingerprint (its device-cache key).
     pub fn fp(self) -> u64 {
         self.fp
+    }
+
+    /// The profiled duration the head carries, if any.
+    #[cfg(test)]
+    pub(crate) fn carried(self) -> Option<SimTime> {
+        self.profiled
     }
 
     /// Runs the kernel on `device` keyed by the stored fingerprint: a warm
@@ -322,7 +331,14 @@ impl KernelManager {
     /// otherwise the profiler's prediction.
     fn predict(&self, head: Head<'_>) -> Result<SimTime, TackerError> {
         match head.profiled {
-            Some(duration) if !self.profiler.history_bypassed() => Ok(duration),
+            Some(duration) if !self.profiler.history_bypassed() => {
+                debug_assert_eq!(
+                    Some(duration),
+                    self.profiler.peek_keyed(head.wk, head.fp),
+                    "a carried duration is the history's"
+                );
+                Ok(duration)
+            }
             _ => self.profiler.predict_keyed(head.wk, head.fp),
         }
     }
@@ -829,6 +845,141 @@ mod tests {
             .unwrap()
             .1;
         assert!(matches!(d, Decision::RunBe { be_index: 0, .. }));
+    }
+
+    /// One device per test binary: simulations are pure, so property
+    /// cases share memoized runs.
+    fn shared_device() -> &'static Arc<Device> {
+        static DEVICE: std::sync::OnceLock<Arc<Device>> = std::sync::OnceLock::new();
+        DEVICE.get_or_init(|| Arc::new(Device::new(GpuSpec::rtx2080ti())))
+    }
+
+    /// What two decisions must agree on.
+    fn summary(d: &Decision) -> (usize, Option<usize>, Option<u64>, SimTime, [SimTime; 3]) {
+        match d {
+            Decision::RunLc { predicted } => (0, None, None, *predicted, [SimTime::ZERO; 3]),
+            Decision::RunBe {
+                be_index,
+                predicted,
+            } => (1, Some(*be_index), None, *predicted, [SimTime::ZERO; 3]),
+            Decision::RunFused {
+                be_index,
+                fp,
+                predicted,
+                x_tc,
+                x_cd,
+                lc_predicted,
+                ..
+            } => (
+                2,
+                Some(*be_index),
+                Some(*fp),
+                *predicted,
+                [*x_tc, *x_cd, *lc_predicted],
+            ),
+            Decision::Idle => (3, None, None, SimTime::ZERO, [SimTime::ZERO; 3]),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Two managers over two profilers and libraries kept in step
+        /// (same history and models, same strikes and refits, same history
+        /// bypass) decide alike when one gets BE heads carrying their
+        /// profiled duration, drawn per head wherever the history holds
+        /// it, and the other plain heads: same stretches, decisions and
+        /// event streams while strikes blacklist pairs, refits move the
+        /// fused models, the bypass toggles and measuring fills the
+        /// history between walks. Pool kernels are measured up front or
+        /// not, so that first fits also happen inside walks.
+        #[test]
+        fn carried_be_durations_decide_like_history_probes(
+            measured in 0u16..256,
+            steps in proptest::collection::vec(
+                (proptest::collection::vec(0usize..3, 1..5), 0usize..5, 0usize..6, 0u32..26, 0u8..10, 0u8..4),
+                1..40,
+            ),
+        ) {
+            let gemm = tacker_workloads::dnn::compile::shared_gemm();
+            let lc_pool = [
+                tc_kernel(),
+                gemm_workload(&gemm, GemmShape::new(4096, 2048, 512)),
+                Benchmark::Mriq.task()[0].clone(),
+            ];
+            // BE pool: CUDA kernels plus a Tensor GEMM; index 5 is "no head".
+            let be_pool = [
+                Benchmark::Cutcp.task()[0].clone(),
+                Benchmark::Fft.task()[0].clone(),
+                Benchmark::Lbm.task()[0].clone(),
+                gemm_workload(&gemm, GemmShape::new(1024, 1024, 512)),
+                Benchmark::Sgemm.task()[0].clone(),
+            ];
+            let world = || {
+                let profiler = Arc::new(KernelProfiler::new(Arc::clone(shared_device())));
+                let library = Arc::new(FusionLibrary::new(Arc::clone(&profiler)));
+                let sink = Arc::new(tacker_trace::RingSink::unbounded());
+                let manager = KernelManager::with_sink(
+                    Arc::clone(&profiler),
+                    library,
+                    Policy::Tacker,
+                    sink.clone() as Arc<dyn TraceSink>,
+                );
+                (profiler, manager, sink)
+            };
+            let worlds = [world(), world()];
+            for (i, wk) in lc_pool.iter().chain(&be_pool).enumerate() {
+                if measured >> i & 1 == 1 {
+                    for (p, _, _) in &worlds {
+                        p.measure(wk).expect("measure");
+                    }
+                }
+            }
+            let lc_heads: Vec<Head<'_>> = lc_pool.iter().map(Head::new).collect();
+            for (i, (ls, b1, b2, hr_log, op, carry)) in steps.into_iter().enumerate() {
+                for (p, m, _) in &worlds {
+                    match op {
+                        0 | 1 => {
+                            let (lc, be) = (&lc_pool[ls[0]], &be_pool[b1]);
+                            let Some((tc, cd)) = FusionLibrary::orient(lc, be) else { continue };
+                            if let Some(entry) = m.library().prepare(tc, cd).expect("prepare") {
+                                let x = p.predict(tc).expect("x_tc");
+                                let y = p.predict(cd).expect("x_cd");
+                                let lost = (x + y).mul_f64(3.0);
+                                entry.lock().expect("entry").observe_outcome(x, y, lost);
+                            }
+                        }
+                        2 => p.set_history_bypass(!p.history_bypassed()),
+                        3 => drop(p.measure(&be_pool[b1]).expect("measure")),
+                        _ => {}
+                    }
+                }
+                let stretch: Vec<Head<'_>> = if op == 9 {
+                    Vec::new()
+                } else {
+                    ls.iter().map(|&l| lc_heads[l]).collect()
+                };
+                let heads = |profiler: &KernelProfiler, carried: bool| {
+                    [(b1, 1), (b2, 2)].map(|(b, bit)| {
+                        let wk = be_pool.get(b)?;
+                        let head = Head::new(wk);
+                        Some(match profiler.recorded(head.fp) {
+                            Some(d) if carried && carry & bit != 0 => {
+                                Head::profiled(wk, head.fp, d)
+                            }
+                            _ => head,
+                        })
+                    })
+                };
+                let hr = SimTime::from_nanos((1 << hr_log) - 1);
+                let [(cp, carrying, carry_sink), (pp, probing, probe_sink)] = &worlds;
+                let (n, carried) = carrying.decide(&stretch, hr, hr, &heads(cp, true)).expect("carried");
+                let (m, probed) = probing.decide(&stretch, hr, hr, &heads(pp, false)).expect("probed");
+                proptest::prop_assert_eq!(n, m, "step {}", i);
+                proptest::prop_assert_eq!(summary(&carried), summary(&probed), "step {}", i);
+                proptest::prop_assert_eq!(carry_sink.drain(), probe_sink.drain(), "step {}", i);
+            }
+        }
     }
 
     #[test]

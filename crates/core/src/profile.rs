@@ -136,6 +136,17 @@ impl KernelProfiler {
             .extend(measured);
     }
 
+    /// The duration the launch history holds under `fp`, bypass or not.
+    /// A recorded duration is the device's run of that launch, so it never
+    /// changes once recorded.
+    pub(crate) fn recorded(&self, fp: u64) -> Option<SimTime> {
+        self.history
+            .lock()
+            .expect("history poisoned")
+            .get(&fp)
+            .copied()
+    }
+
     /// Builds (once) the duration model for this kernel definition by
     /// profiling grid and work-parameter scalings of the representative
     /// launch. The first model stored for a definition stays: a later
@@ -215,8 +226,8 @@ impl KernelProfiler {
     pub(crate) fn peek_keyed(&self, wk: &WorkloadKernel, fp: u64) -> Option<SimTime> {
         debug_assert_eq!(fp, wk.fingerprint(), "peek_keyed: key/kernel mismatch");
         if !self.history_bypassed() {
-            if let Some(seen) = self.history.lock().expect("history poisoned").get(&fp) {
-                return Some(*seen);
+            if let Some(seen) = self.recorded(fp) {
+                return Some(seen);
             }
         }
         let models = self.models.lock().expect("models poisoned");

@@ -376,9 +376,10 @@ struct BeState<'a> {
     /// The run's copy of each task kernel's device run, taken at the
     /// kernel's first launch: every later launch is served from it.
     runs: Vec<Option<Arc<KernelRun>>>,
-    /// Which task kernels a fused launch has already credited, recording
-    /// their duration as profiler history.
-    recorded: Vec<bool>,
+    /// The duration the run's profiler history holds for each task
+    /// position's fingerprint, from the first time the head finds it there
+    /// or a fused launch credits it: what the position's head carries.
+    profiled: Vec<Option<SimTime>>,
     /// Position of the head kernel within the current task iteration.
     next: usize,
     /// Prefix sums of the task's durations over two iterations:
@@ -393,7 +394,7 @@ impl<'a> BeState<'a> {
         BeState {
             task,
             runs: vec![None; task.len()],
-            recorded: vec![false; task.len()],
+            profiled: vec![None; task.len()],
             next: 0,
             prefix: Vec::new(),
         }
@@ -401,6 +402,22 @@ impl<'a> BeState<'a> {
 
     fn head(&self) -> Option<Head<'a>> {
         self.task.get(self.next).copied()
+    }
+
+    /// The head as the manager sees it: carrying its position's profiled
+    /// duration once the history holds the position's fingerprint. Until
+    /// then each call reads the history once; an LR-model answer is never
+    /// carried, since recording history can change it.
+    fn profiled_head(&mut self, profiler: &KernelProfiler) -> Option<Head<'a>> {
+        let head = self.head()?;
+        let slot = &mut self.profiled[self.next];
+        if slot.is_none() {
+            *slot = profiler.recorded(head.fp());
+        }
+        Some(match *slot {
+            Some(duration) => Head::profiled(head.kernel(), head.fp(), duration),
+            None => head,
+        })
     }
 
     /// The head kernel's run: one device probe at its task position's
@@ -422,8 +439,8 @@ impl<'a> BeState<'a> {
 
     /// The solo work a fused launch credits for the head kernel: what
     /// `KernelProfiler::measure` returns, and like it recorded as profiler
-    /// history — at the position's first credit only, since every later
-    /// one would insert the same duration again.
+    /// history — until the position is profiled only, since every later
+    /// insert would write the same duration again.
     fn credit(
         &mut self,
         device: &Device,
@@ -431,8 +448,8 @@ impl<'a> BeState<'a> {
         credited: &mut CreditedHits<'_>,
     ) -> Result<SimTime, SimError> {
         let duration = self.head_run(device, credited)?.duration;
-        if !self.recorded[self.next] {
-            self.recorded[self.next] = true;
+        if self.profiled[self.next].is_none() {
+            self.profiled[self.next] = Some(duration);
             profiler.record_history([(self.task[self.next].fp(), duration)]);
         }
         Ok(duration)
@@ -729,9 +746,10 @@ pub(crate) fn run_engine(
     // Every LC query kernel and BE task kernel resolved into a `Head` once:
     // decisions, predictions and launches below key the profiler history
     // and the device cache by the stored fingerprint instead of re-hashing
-    // the kernel at every use. An LC head also carries its profiled
-    // duration, the prediction the history holds for it, so the manager
-    // reads it without a history probe.
+    // the kernel at every use. A head also carries its profiled duration,
+    // the prediction the history holds for it, so the manager reads it
+    // without a history probe: an LC head from the start, a BE head once
+    // the history holds its task position (`BeState::profiled_head`).
     let lc_heads: Vec<Vec<Head<'_>>> = services
         .iter()
         .zip(&profiles)
@@ -750,14 +768,19 @@ pub(crate) fn run_engine(
         .map(|app| app.task_kernels().iter().map(Head::new).collect())
         .collect();
 
-    let be_states: Vec<BeState<'_>> = be_task_heads.iter().map(|t| BeState::new(t)).collect();
+    let mut be_states: Vec<BeState<'_>> = be_task_heads.iter().map(|t| BeState::new(t)).collect();
     // The manager's view of each BE app's ready head, kept across
     // decisions: an entry changes only when its app retires a kernel
     // (`RunState::be_retired`), and never between `Some` and `None`. All
     // `None` when the policy runs no BE work.
     let be_heads: Vec<Option<Head<'_>>> = be_states
-        .iter()
-        .map(|b| b.head().filter(|_| policy.best_effort_enabled()))
+        .iter_mut()
+        .map(|b| {
+            policy
+                .best_effort_enabled()
+                .then(|| b.profiled_head(&profiler))
+                .flatten()
+        })
         .collect();
 
     // The replays (see ColocationRun::steady_fast_path) need a run in which every
@@ -1351,7 +1374,7 @@ impl<'a> RunState<'a> {
         };
         #[cfg(test)]
         IDLE_SEGMENTS.with(|log| log.borrow_mut().push((from, kernels)));
-        let be = &self.be_states[i];
+        let be = &mut self.be_states[i];
         if self.observed {
             let copies = be
                 .runs
@@ -1369,7 +1392,7 @@ impl<'a> RunState<'a> {
         }
         let len = be.task.len();
         self.last_be = Some(&*be.task[(be.next + len - 1) % len].kernel().def);
-        self.be_heads[i] = be.head();
+        self.be_heads[i] = be.profiled_head(self.profiler);
         let replenished = |t: SimTime| self.budget_cap.min(self.budget + t.as_nanos() as i128);
         self.m_budget.set(replenished(before_last) as f64);
         self.budget = replenished(elapsed);
@@ -1490,7 +1513,7 @@ impl<'a> RunState<'a> {
         self.last_be = self.be_states[i].head().map(|h| &*h.kernel().def);
         self.be_states[i].pop();
         if self.be_heads[i].is_some() {
-            self.be_heads[i] = self.be_states[i].head();
+            self.be_heads[i] = self.be_states[i].profiled_head(self.profiler);
         }
     }
 
@@ -2153,6 +2176,41 @@ mod tests {
             format!("{r:?}\n{}", r.prometheus_text())
         };
         assert_eq!(text(true), text(false));
+    }
+
+    #[test]
+    fn be_positions_carry_the_device_duration_from_their_first_credit() {
+        // A BE head carries nothing while the history lacks its position's
+        // fingerprint, even once its definition's model answers for it:
+        // recording history can change that answer. The position's first
+        // credit records the device duration, which the head then carries.
+        let device = device();
+        let profiler = KernelProfiler::new(Arc::clone(&device));
+        let task = Benchmark::Cutcp.task();
+        let heads: Vec<Head<'_>> = task.iter().map(Head::new).collect();
+        let (wk, fp) = (heads[0].kernel(), heads[0].fp());
+        let mut be = BeState::new(&heads);
+        assert_eq!(be.profiled_head(&profiler).unwrap().carried(), None);
+        profiler
+            .ensure_model(&Benchmark::Cutcp.task_scaled(3)[0])
+            .unwrap();
+        assert!(profiler.peek_keyed(wk, fp).is_some(), "the model answers");
+        assert_eq!(profiler.recorded(fp), None);
+        assert_eq!(be.profiled_head(&profiler).unwrap().carried(), None);
+        let mut credited = CreditedHits {
+            device: &device,
+            hits: 0,
+        };
+        let work = be.credit(&device, &profiler, &mut credited).unwrap();
+        assert_eq!(
+            work,
+            device
+                .run_keyed(fp, &wk.def, || wk.launch())
+                .unwrap()
+                .duration
+        );
+        assert_eq!(profiler.recorded(fp), Some(work));
+        assert_eq!(be.profiled_head(&profiler).unwrap().carried(), Some(work));
     }
 
     #[test]

@@ -65,16 +65,6 @@ impl ResourceUsage {
             barriers: self.barriers + other.barriers,
         }
     }
-
-    /// Scales shared memory and keeps per-thread quantities, used when a
-    /// fused block contains `n` copies of this kernel's block.
-    pub fn scaled_blocks(&self, n: u32) -> ResourceUsage {
-        ResourceUsage {
-            registers_per_thread: self.registers_per_thread,
-            shared_mem_bytes: self.shared_mem_bytes * n as u64,
-            barriers: self.barriers,
-        }
-    }
 }
 
 impl fmt::Display for ResourceUsage {
